@@ -252,18 +252,23 @@ def _newton_batch(res_fn, jac_fn, u0, tol, max_iter, det_tol):
     return u, converged, singular, iters
 
 
+def _h_kernels(h_pr: SdaeProblem):
+    """Kernels for h and for D_u h over the (x, u) labels."""
+    return (
+        expr.compile_kernel(h_pr.labels, {"h": h_pr.g}),
+        expr.compile_kernel(h_pr.labels, {"jac": expr.jacobian(h_pr.g, h_pr.u_labels)}),
+    )
+
+
 def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarray:
-    h_fn = expr.CompiledVector(h_pr.g)
-    jac_fn = expr.CompiledMatrix(expr.jacobian(h_pr.g, h_pr.u_labels))
+    h_fn, jac_fn = _h_kernels(h_pr)
     x0 = h_pr.x0[None]
 
     def res(u):
-        env = expr.make_env(h_pr.labels, np.concatenate([x0, u], axis=1))
-        return h_fn(env, (1,))
+        return h_fn(np.concatenate([x0, u], axis=1))["h"]
 
     def jac(u):
-        env = expr.make_env(h_pr.labels, np.concatenate([x0, u], axis=1))
-        return jac_fn(env, (1,))
+        return jac_fn(np.concatenate([x0, u], axis=1))["jac"]
 
     u, ok, singular, _ = _newton_batch(
         res, jac, h_pr.u0_guess[None].astype(float), tol, 50, SINGULAR_TOL
@@ -298,10 +303,8 @@ def _newton_step_paths(
 ) -> list[SamplePath]:
     """Per-step Newton enforcement of h = 0, advanced in lockstep over paths."""
     count = dW.shape[0]
-    f_fn = expr.CompiledVector(pr.f)
-    sig_fn = expr.CompiledMatrix(pr.sigma)
-    h_fn = expr.CompiledVector(h_pr.g)
-    jac_fn = expr.CompiledMatrix(expr.jacobian(h_pr.g, h_pr.u_labels))
+    coeff_fn = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
+    h_fn, jac_fn = _h_kernels(h_pr)
     labels = pr.labels
     dom_code, sing_code = 1, 2
 
@@ -317,9 +320,8 @@ def _newton_step_paths(
         for k in range(steps):
             if not alive.any():
                 break
-            env = expr.make_env(labels, np.concatenate([x, u], axis=1))
-            drift = f_fn(env, (count,))
-            diff = sig_fn(env, (count,))
+            coeff = coeff_fn(np.concatenate([x, u], axis=1))
+            drift, diff = coeff["drift"], coeff["diffusion"]
             x_next = x + drift * dt
             for j in range(pr.d):
                 x_next = x_next + diff[:, :, j] * dW[:, k, j][:, None]
@@ -331,12 +333,10 @@ def _newton_step_paths(
             x = np.where(alive[:, None], x_next, x)
 
             def res(uu, _x=x):
-                e = expr.make_env(labels, np.concatenate([_x, uu], axis=1))
-                return h_fn(e, (count,))
+                return h_fn(np.concatenate([_x, uu], axis=1))["h"]
 
             def jac(uu, _x=x):
-                e = expr.make_env(labels, np.concatenate([_x, uu], axis=1))
-                return jac_fn(e, (count,))
+                return jac_fn(np.concatenate([_x, uu], axis=1))["jac"]
 
             u_next, ok, singular, iters = _newton_batch(
                 res, jac, u, newton_tol, 50, SINGULAR_TOL

@@ -374,6 +374,21 @@ def _cmd_builtin(args) -> int:
     return EXIT_OK
 
 
+def _check_run_inputs(manifest: dict, problem_file: Path) -> None:
+    """Refuse a run directory whose tool version or problem differs from the manifest."""
+    if manifest.get("version") != __version__:
+        raise MethodPreconditionError(
+            f"manifest was written by sdae {manifest.get('version')}, this is "
+            f"sdae {__version__}; its outputs are not reproducible here"
+        )
+    digest = hashlib.sha256(print_problem(_load(str(problem_file))).encode()).hexdigest()
+    if digest != manifest.get("problem_sha256"):
+        raise _ProblemLoadError(
+            f"{problem_file} does not match the manifest's problem_sha256 "
+            "(the problem was modified after the run)"
+        )
+
+
 def _cmd_rerun(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -381,6 +396,7 @@ def _cmd_rerun(args) -> int:
         raise MethodPreconditionError("manifest does not describe a solve run")
     ns = argparse.Namespace(**manifest["args"])
     ns.file = str(manifest_path.parent / "problem.sdae")
+    _check_run_inputs(manifest, Path(ns.file))
     ns.out = args.out
     ns.seed = manifest["base_seed"]
     return _cmd_solve(ns)

@@ -9,7 +9,14 @@ Three consumers drive the design:
 
 * symbolic differentiation (exact, with conservative constant folding),
 * scalar evaluation with strict domain checking (errors name the node),
-* compilation to numpy-vectorised callables for the integration hot loops.
+* compilation to numpy-vectorised code for the integration hot loops.
+
+Each call site that evaluates coefficients per step gets one generated
+kernel (:func:`compile_kernel`): a single function from a point array to all
+the labelled arrays it needs, written as straight-line numpy code in which
+every distinct subtree is computed once.  Sharing never reorders a float
+operation, so a kernel's entries equal the per-entry evaluation of
+:func:`compile_expr` bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "jacobian",
     "hessian",
     "compile_expr",
+    "compile_kernel",
     "CompiledVector",
     "CompiledMatrix",
     "make_env",
@@ -562,10 +570,15 @@ def substitute(e: Expression, mapping: Mapping[str, Expression]) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to numpy callables.  The generated function accepts an
-# environment dict mapping variable names to floats or same-shaped arrays and
-# evaluates elementwise.  Out-of-domain inputs produce nan/inf rather than
-# raising; the integrator turns non-finite states into a path status.
+# Compilation to numpy callables.  Every expression node becomes one numpy
+# operation; out-of-domain inputs produce nan/inf rather than raising, and the
+# integrator turns non-finite states into a path status.
+#
+# compile_expr turns one expression into a function of an environment dict.
+# compile_kernel turns labelled output arrays into one function of a point
+# array in which each distinct subtree is computed once.  Both print each node
+# with _node_code, so a shared subtree is the same float operation on the same
+# operands either way and the two agree bit for bit.
 # ---------------------------------------------------------------------------
 
 _NP_FUNCS = {
@@ -578,24 +591,39 @@ _NP_FUNCS = {
     "sqrt": "_np.sqrt",
 }
 
+_BINARY_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
-def _emit(e: Expression) -> str:
-    if isinstance(e, Constant):
-        return repr(e.value)
-    if isinstance(e, Variable):
-        return e.name
+
+def _const_code(v: float) -> str:
+    if not math.isfinite(v):
+        return f"float('{v!r}')"
+    text = repr(v)
+    # parenthesised so that a negative base stays the base: (-2.0) ** x1
+    return f"({text})" if text.startswith("-") else text
+
+
+def _node_code(e: Unary | Binary, *operands: str) -> str:
+    """Source of one operation node, given the source of its operands."""
     if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{_emit(e.child)})"
-        return f"{_NP_FUNCS[e.op]}({_emit(e.child)})"
-    l, r = _emit(e.left), _emit(e.right)
+        (child,) = operands
+        return f"(-{child})" if e.op == "neg" else f"{_NP_FUNCS[e.op]}({child})"
+    left, right = operands
     if e.op == "pow":
         cv = _cv(e.right)
         if cv is not None and float(cv).is_integer() and abs(cv) < 128:
-            r = str(int(cv))
-        return f"({l} ** {r})"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-    return f"({l} {sym} {r})"
+            right = str(int(cv))
+        return f"({left} ** {right})"
+    return f"({left} {_BINARY_SYMBOLS[e.op]} {right})"
+
+
+def _emit(e: Expression) -> str:
+    if isinstance(e, Constant):
+        return _const_code(e.value)
+    if isinstance(e, Variable):
+        return e.name
+    if isinstance(e, Unary):
+        return _node_code(e, _emit(e.child))
+    return _node_code(e, _emit(e.left), _emit(e.right))
 
 
 def compile_expr(e: Expression) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
@@ -613,36 +641,137 @@ def compile_expr(e: Expression) -> Callable[[Mapping[str, np.ndarray]], np.ndarr
     return fn
 
 
+class _SharedEmitter:
+    """Prints a DAG of expressions as straight-line code, one line per distinct node.
+
+    Nodes are looked up by ``id`` first, so a subtree reached twice through the
+    same object costs one dict probe; distinct objects with equal structure
+    meet in ``by_key``, whose keys hold the operator and the operands' source.
+    Keying on source rather than on node equality keeps ``0.0`` and ``-0.0``
+    apart, which compare equal but print (and multiply) differently.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.names: set[str] = set()
+        self.by_id: dict[int, str] = {}
+        self.by_key: dict[tuple[str, ...], str] = {}
+
+    def code(self, e: Expression) -> str:
+        hit = self.by_id.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, Constant):
+            out = _const_code(e.value)
+        elif isinstance(e, Variable):
+            self.names.add(e.name)
+            out = e.name
+        else:
+            kids = (self.code(e.child),) if isinstance(e, Unary) else (self.code(e.left), self.code(e.right))
+            key = (e.op, *kids)
+            out = self.by_key.get(key)
+            if out is None:
+                out = f"_t{len(self.by_key)}"
+                self.by_key[key] = out
+                self.lines.append(f"    {out} = {_node_code(e, *kids)}")
+        self.by_id[id(e)] = out
+        return out
+
+
+def _nested_shape(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        return ()
+    if not value:
+        return (0,)
+    inner = _nested_shape(value[0])
+    if any(_nested_shape(v) != inner for v in value[1:]):
+        raise ValueError("kernel outputs must be rectangular nested lists")
+    return (len(value),) + inner
+
+
+def _nested_entries(value, index=()):
+    if isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _nested_entries(v, index + (i,))
+    else:
+        yield index, value
+
+
+def _generate(header: list[str], outputs: Mapping[str, object], bind) -> Callable:
+    """Compile ``header``, one line per variable from ``bind``, then the outputs."""
+    em = _SharedEmitter()
+    assign: list[str] = []
+    for k, (name, value) in enumerate(outputs.items()):
+        shape = _nested_shape(value)
+        assign.append(f"    _o{k} = _np.empty(batch + {shape!r})")
+        for index, e in _nested_entries(value):
+            where = ", ".join(["...", *map(str, index)])
+            assign.append(f"    _o{k}[{where}] = {em.code(e)}")
+    result = ", ".join(f"{name!r}: _o{k}" for k, name in enumerate(outputs))
+    lines = header + [f"    {nm} = {bind(nm)}" for nm in sorted(em.names)]
+    lines += em.lines + assign + [f"    return {{{result}}}"]
+    namespace = {"_np": np}
+    exec(compile("\n".join(lines), "<sdae-kernel>", "exec"), namespace)
+    return namespace["_kernel"]
+
+
+def compile_kernel(
+    labels: Iterable[str], outputs: Mapping[str, object]
+) -> Callable[[np.ndarray], dict[str, np.ndarray]]:
+    """Compile labelled output arrays into one numpy function of a point array.
+
+    ``outputs`` maps a name to an expression, a vector (list of expressions),
+    a matrix (list of rows) or any deeper rectangular nesting; an empty list
+    has shape ``(0,)``.  The returned function takes ``points`` of shape
+    ``(..., len(labels))``, column ``i`` holding variable ``labels[i]``, and
+    returns a dict mapping each name to an array of shape
+    ``points.shape[:-1] + nesting shape``.  Each distinct subtree across all
+    outputs is computed once, with the same numpy operation on the same
+    operands as :func:`compile_expr`, so every entry equals the per-entry
+    evaluation bit for bit.
+    """
+    labels = tuple(labels)
+    column = {lab: i for i, lab in enumerate(labels)}
+
+    def bind(nm: str) -> str:
+        if nm not in column:
+            raise ValueError(f"kernel references '{nm}', which is not among the labels {labels}")
+        return f"points[..., {column[nm]}]"
+
+    header = [
+        "def _kernel(points):",
+        "    points = _np.asarray(points, dtype=float)",
+        "    batch = points.shape[:-1]",
+    ]
+    return _generate(header, outputs, bind)
+
+
+def _compile_env_kernel(value) -> Callable[[Mapping[str, np.ndarray], tuple[int, ...]], dict[str, np.ndarray]]:
+    return _generate(["def _kernel(env, batch):"], {"out": value}, lambda nm: f"env['{nm}']")
+
+
 class CompiledVector:
-    """Vector of compiled expressions evaluated against a shared environment."""
+    """Vector of expressions evaluated against a shared environment."""
 
     def __init__(self, exprs: Iterable[Expression]):
         self.exprs = list(exprs)
-        self._fns = [compile_expr(e) for e in self.exprs]
+        self._kernel = _compile_env_kernel(self.exprs)
         self.size = len(self.exprs)
 
     def __call__(self, env: Mapping[str, np.ndarray], batch_shape: tuple[int, ...]) -> np.ndarray:
-        out = np.empty(batch_shape + (self.size,))
-        for i, fn in enumerate(self._fns):
-            out[..., i] = fn(env)
-        return out
+        return self._kernel(env, tuple(batch_shape))["out"]
 
 
 class CompiledMatrix:
-    """Matrix of compiled expressions evaluated against a shared environment."""
+    """Matrix of expressions evaluated against a shared environment."""
 
     def __init__(self, rows: Iterable[Iterable[Expression]]):
         self.exprs = [list(r) for r in rows]
-        self._fns = [[compile_expr(e) for e in row] for row in self.exprs]
         self.shape = (len(self.exprs), len(self.exprs[0]) if self.exprs else 0)
+        self._kernel = _compile_env_kernel(self.exprs)
 
     def __call__(self, env: Mapping[str, np.ndarray], batch_shape: tuple[int, ...]) -> np.ndarray:
-        r, c = self.shape
-        out = np.empty(batch_shape + (r, c))
-        for i in range(r):
-            for j in range(c):
-                out[..., i, j] = self._fns[i][j](env)
-        return out
+        return self._kernel(env, tuple(batch_shape))["out"]
 
 
 def make_env(labels: Iterable[str], points: np.ndarray) -> dict[str, np.ndarray]:

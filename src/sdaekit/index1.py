@@ -17,6 +17,7 @@ inspection when m <= 2.  A runtime determinant guard stands in for the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,91 +46,68 @@ class Index1Reduction:
     b_symbolic: list[list[expr.Expression]] | None
     singular_guard: float = SINGULAR_TOL
 
-    # compiled pieces, filled by the builder
-    _f: expr.CompiledVector = field(repr=False, default=None)
-    _sigma: expr.CompiledMatrix = field(repr=False, default=None)
-    _gamma: expr.CompiledMatrix = field(repr=False, default=None)
-    _dxg: expr.CompiledMatrix = field(repr=False, default=None)
-    _dug: expr.CompiledMatrix = field(repr=False, default=None)
-    _hess_xx: list[expr.CompiledMatrix] = field(repr=False, default=None)
-    _hess_uu: list[expr.CompiledMatrix] = field(repr=False, default=None)
-    _hess_xu: list[expr.CompiledMatrix] = field(repr=False, default=None)
+    # kernels built by build_index1_reduction: every coefficient piece at
+    # once, and D_u g alone for the guard
+    _pieces: Callable = field(repr=False, default=None)
+    _dug: Callable = field(repr=False, default=None)
 
-    def _env(self, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        return expr.make_env(self.problem.labels, points), points.shape[:-1]
-
-    def coefficients(self, points: np.ndarray):
-        """Evaluate (a, B, det D_u g) at points of shape (..., n+m)."""
-        pr = self.problem
-        env, batch = self._env(points)
+    def _pieces_at(self, points) -> dict[str, np.ndarray]:
         with np.errstate(all="ignore"):
-            dxg = self._dxg(env, batch)
-            dug = self._dug(env, batch)
-            sig = self._sigma(env, batch)
-            gam = self._gamma(env, batch)
-            f = self._f(env, batch)
+            return self._pieces(points)
+
+    def _solve(self, k: dict[str, np.ndarray]):
+        """(a, B, det D_u g) from the evaluated pieces."""
+        pr = self.problem
+        dxg, dug, sig, f = k["dxg"], k["dug"], k["sigma"], k["f"]
+        with np.errstate(all="ignore"):
             det = np.linalg.det(dug)
-            rhs_b = -(dxg @ sig + gam)
+            rhs_b = -(dxg @ sig + k["gamma"])
             ok = np.abs(det) > self.singular_guard
             safe_dug = np.where(ok[..., None, None], dug, np.eye(pr.m))
             B = np.linalg.solve(safe_dug, rhs_b)
-            trace = np.empty(batch + (pr.p,))
+            trace = np.empty(det.shape + (pr.p,))
             for i in range(pr.p):
-                hxx = self._hess_xx[i](env, batch)
-                huu = self._hess_uu[i](env, batch)
-                hxu = self._hess_xu[i](env, batch)
-                trace[..., i] = (
-                    np.einsum(_TRACE, sig, hxx, sig)
-                    + np.einsum(_TRACE, B, huu, B)
-                    + 2.0 * np.einsum(_TRACE, sig, hxu, B)
-                )
+                trace[..., i] = _ito_trace(k, i, B)
             rhs_a = -((dxg @ f[..., None])[..., 0] + 0.5 * trace)
             a = np.linalg.solve(safe_dug, rhs_a[..., None])[..., 0]
             a = np.where(ok[..., None], a, np.nan)
             B = np.where(ok[..., None, None], B, np.nan)
         return a, B, det
 
+    def coefficients(self, points: np.ndarray):
+        """Evaluate (a, B, det D_u g) at points of shape (..., n+m)."""
+        return self._solve(self._pieces_at(points))
+
     def diffusion_residual(self, points: np.ndarray) -> np.ndarray:
         """(D_x g) sigma + (D_u g) B + Gamma; zero wherever B is defined."""
-        env, batch = self._env(points)
-        a, B, _ = self.coefficients(points)
-        return self._dxg(env, batch) @ self._sigma(env, batch) + self._dug(env, batch) @ B + self._gamma(env, batch)
+        k = self._pieces_at(points)
+        a, B, _ = self._solve(k)
+        return k["dxg"] @ k["sigma"] + k["dug"] @ B + k["gamma"]
 
     def drift_residual(self, points: np.ndarray) -> np.ndarray:
         """Drift half of the constraint differential; zero wherever a is defined."""
         pr = self.problem
-        env, batch = self._env(points)
-        a, B, _ = self.coefficients(points)
-        sig = self._sigma(env, batch)
-        f = self._f(env, batch)
-        out = np.empty(batch + (pr.p,))
+        k = self._pieces_at(points)
+        a, B, _ = self._solve(k)
+        out = np.empty(a.shape[:-1] + (pr.p,))
         for i in range(pr.p):
-            hxx = self._hess_xx[i](env, batch)
-            huu = self._hess_uu[i](env, batch)
-            hxu = self._hess_xu[i](env, batch)
-            out[..., i] = 0.5 * (
-                np.einsum(_TRACE, sig, hxx, sig)
-                + np.einsum(_TRACE, B, huu, B)
-                + 2.0 * np.einsum(_TRACE, sig, hxu, B)
-            )
-        return out + (self._dxg(env, batch) @ f[..., None])[..., 0] + (self._dug(env, batch) @ a[..., None])[..., 0]
+            out[..., i] = 0.5 * _ito_trace(k, i, B)
+        return out + (k["dxg"] @ k["f"][..., None])[..., 0] + (k["dug"] @ a[..., None])[..., 0]
 
     def sde(self) -> AugmentedSde:
         pr = self.problem
 
         def both(points):
-            env, batch = self._env(points)
-            a, B, _ = self.coefficients(points)
+            k = self._pieces_at(points)
+            a, B, _ = self._solve(k)
             with np.errstate(all="ignore"):
-                drift = np.concatenate([self._f(env, batch), a], axis=-1)
-                diff = np.concatenate([self._sigma(env, batch), B], axis=-2)
+                drift = np.concatenate([k["f"], a], axis=-1)
+                diff = np.concatenate([k["sigma"], B], axis=-2)
             return drift, diff
 
         def guard(points):
-            env, batch = self._env(points)
             with np.errstate(all="ignore"):
-                det = np.linalg.det(self._dug(env, batch))
+                det = np.linalg.det(self._dug(points)["dug"])
             return np.isfinite(det) & (np.abs(det) > self.singular_guard)
 
         return AugmentedSde(
@@ -143,6 +121,16 @@ class Index1Reduction:
             origin="index1",
             problem=pr,
         )
+
+
+def _ito_trace(k: dict[str, np.ndarray], i: int, B: np.ndarray) -> np.ndarray:
+    """Tr(sigma D2_xx g_i sigma' + B D2_uu g_i B' + 2 sigma D2_xu g_i B')."""
+    sig = k["sigma"]
+    return (
+        np.einsum(_TRACE, sig, k["hxx"][..., i, :, :], sig)
+        + np.einsum(_TRACE, B, k["huu"][..., i, :, :], B)
+        + 2.0 * np.einsum(_TRACE, sig, k["hxu"][..., i, :, :], B)
+    )
 
 
 def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Index1Reduction:
@@ -162,14 +150,16 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
     dug_sym = expr.jacobian(pr.g, u_l)
 
     red = Index1Reduction(problem=pr, a_symbolic=None, b_symbolic=None, singular_guard=guard)
-    red._f = expr.CompiledVector(pr.f)
-    red._sigma = expr.CompiledMatrix(pr.sigma)
-    red._gamma = expr.CompiledMatrix(pr.gamma)
-    red._dxg = expr.CompiledMatrix(dxg_sym)
-    red._dug = expr.CompiledMatrix(dug_sym)
-    red._hess_xx = [expr.CompiledMatrix(expr.hessian(gi, x_l, x_l)) for gi in pr.g]
-    red._hess_uu = [expr.CompiledMatrix(expr.hessian(gi, u_l, u_l)) for gi in pr.g]
-    red._hess_xu = [expr.CompiledMatrix(expr.hessian(gi, x_l, u_l)) for gi in pr.g]
+    red._pieces = expr.compile_kernel(
+        pr.labels,
+        {
+            "f": pr.f, "sigma": pr.sigma, "gamma": pr.gamma, "dxg": dxg_sym, "dug": dug_sym,
+            "hxx": [expr.hessian(gi, x_l, x_l) for gi in pr.g],
+            "huu": [expr.hessian(gi, u_l, u_l) for gi in pr.g],
+            "hxu": [expr.hessian(gi, x_l, u_l) for gi in pr.g],
+        },
+    )
+    red._dug = expr.compile_kernel(pr.labels, {"dug": dug_sym})
 
     if pr.m <= 2:
         inv = _symlin.inverse(dug_sym)
@@ -227,7 +217,6 @@ def solve_index1(pr: SdaeProblem, dt: float, T: float, seed: int) -> SamplePath:
     sde = build_index1_sde(pr)
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, pr.init_point(), dt, T, increments, seed=seed)
-    env = expr.make_env(pr.labels, path.states)
-    g_vals = expr.CompiledVector(pr.g)(env, (len(path),))
+    g_vals = pr.constraint_kernel(pr.labels)(path.states)["g"]
     path.metadata["max_constraint_violation"] = float(np.abs(g_vals).max())
     return path

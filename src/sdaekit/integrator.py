@@ -291,14 +291,12 @@ def constraint_process(pr: SdaeProblem, path: SamplePath) -> np.ndarray:
     missing = [nm for nm in needed if nm not in idx]
     if missing:
         raise ValueError(f"path does not expose coordinates {missing}")
-    env = {lab: path.states[:, i] for lab, i in idx.items()}
+    k = pr.constraint_kernel(path.labels)(path.states)
+    g_vals = k["g"]
     K = len(path) - 1
-    g_vals = expr.CompiledVector(pr.g)(env, (K + 1,))
     if pr.gamma_is_zero() or K == 0 or pr.d == 0:
         return g_vals
-    env_left = {lab: col[:-1] for lab, col in env.items()}
-    gam = expr.CompiledMatrix(pr.gamma)(env_left, (K,))  # (K, p, d)
-    terms = np.einsum("kpd,kd->kp", gam, path.dW[:K])
+    terms = np.einsum("kpd,kd->kp", k["gamma"][:K], path.dW[:K])  # left-point Gamma
     acc = np.zeros((K + 1, pr.p))
     np.cumsum(terms, axis=0, out=acc[1:])
     return g_vals + acc

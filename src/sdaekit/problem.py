@@ -75,6 +75,7 @@ class SdaeProblem:
     x0: np.ndarray
     u0_guess: np.ndarray
     name: str = ""
+    _constraint_kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -168,6 +169,19 @@ class SdaeProblem:
             for row in self.gamma
             for e in row
         )
+
+    def constraint_kernel(self, labels: Iterable[str]) -> Callable[[np.ndarray], dict]:
+        """g and Gamma as one kernel over points whose columns are ``labels``.
+
+        Built on first use for each label tuple and kept, so evaluating the
+        constraint along many paths compiles it once.
+        """
+        labels = tuple(labels)
+        kernel = self._constraint_kernels.get(labels)
+        if kernel is None:
+            kernel = expr.compile_kernel(labels, {"g": self.g, "gamma": self.gamma})
+            self._constraint_kernels[labels] = kernel
+        return kernel
 
     def constraint_values(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         env = expr.make_env(self.labels, np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))

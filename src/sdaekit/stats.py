@@ -17,7 +17,6 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from . import expr
 from .integrator import (
     AugmentedSde,
     Ensemble,
@@ -115,7 +114,6 @@ def violation_stats(
     alive_mask = np.zeros((P, K + 1), dtype=bool)
     g_vals = np.full((P, K + 1, pr.p), np.nan)
     gamma_zero = pr.gamma_is_zero()
-    g_compiled = None if gamma_zero else expr.CompiledVector(pr.g)
     for i, path in enumerate(ens.paths):
         lam = constraint_process(pr, path)
         k = len(path)
@@ -126,8 +124,7 @@ def violation_stats(
         if gamma_zero:
             g_vals[i, :k] = lam  # lambda coincides with g when Gamma = 0
         else:
-            env = {lab: path.states[:, j] for j, lab in enumerate(path.labels)}
-            g_vals[i, :k] = g_compiled(env, (k,))
+            g_vals[i, :k] = pr.constraint_kernel(path.labels)(path.states)["g"]
     alive = alive_mask.sum(axis=0)
     counts = viol.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -143,39 +144,31 @@ class UnitProbReduction:
     a_symbolic: list[expr.Expression]  # m
     gain_det: expr.Expression  # det((Dg) D_v y)
 
-    _a: expr.CompiledVector = field(repr=False, default=None)
-    _b: expr.CompiledMatrix = field(repr=False, default=None)
-    _lam: expr.CompiledMatrix = field(repr=False, default=None)
-    _det: object = field(repr=False, default=None)
-    _f: expr.CompiledVector = field(repr=False, default=None)
-    _sigma: expr.CompiledMatrix = field(repr=False, default=None)
-    _dxg: expr.CompiledMatrix = field(repr=False, default=None)
-    _dvy: expr.CompiledMatrix = field(repr=False, default=None)
+    # kernels built by build_unit_prob_sde: the step's drift (f; a) and
+    # diffusion (sigma; B), the guard's gain_det, and the pieces the
+    # identity checks assemble numerically
+    _step: Callable = field(repr=False, default=None)
+    _det: Callable = field(repr=False, default=None)
+    _pieces: Callable = field(repr=False, default=None)
 
-    def _env(self, points):
-        points = np.asarray(points, dtype=float)
-        return expr.make_env(self.problem.labels, points), points.shape[:-1]
+    def _pieces_at(self, points) -> dict[str, np.ndarray]:
+        with np.errstate(all="ignore"):
+            return self._pieces(points)
 
     def b_values(self, points) -> np.ndarray:
-        env, batch = self._env(points)
-        with np.errstate(all="ignore"):
-            return self._b(env, batch)
+        return self._pieces_at(points)["B"]
 
     def a_values(self, points) -> np.ndarray:
-        env, batch = self._env(points)
-        with np.errstate(all="ignore"):
-            return self._a(env, batch)
+        return self._pieces_at(points)["a"]
 
     def lambda_values(self, points) -> np.ndarray:
-        env, batch = self._env(points)
-        with np.errstate(all="ignore"):
-            return self._lam(env, batch)
+        return self._pieces_at(points)["lam"]
 
     def noise_residual(self, points) -> np.ndarray:
         """(Dg) Lambda, identically zero by construction of B."""
-        env, batch = self._env(points)
+        k = self._pieces_at(points)
         with np.errstate(all="ignore"):
-            return self._dxg(env, batch) @ self._lam(env, batch)
+            return k["dxg"] @ k["lam"]
 
     def frozen_drift_residual(self, points) -> np.ndarray:
         """Drift of the composed constraint field; zero once a is substituted.
@@ -185,48 +178,30 @@ class UnitProbReduction:
         F_w = f_w - (D_v y a)_w - 1/2 B(d2 y)B|_w - (dLam/dv B)_w.
         """
         pr = self.problem
-        env, batch = self._env(points)
+        k = self._pieces_at(points)
+        B, lam = k["B"], k["lam"]
         with np.errstate(all="ignore"):
-            a = self._a(env, batch)
-            B = self._b(env, batch)
-            lam = self._lam(env, batch)
-            dvy = self._dvy(env, batch)
-            f = self._f(env, batch)
-            F = f - (dvy @ a[..., None])[..., 0]
+            F = k["f"] - (k["dvy"] @ k["a"][..., None])[..., 0]
             for w in range(pr.n):
-                hy = expr.CompiledMatrix(
-                    expr.hessian(self.spec.y[w], pr.u_labels, pr.u_labels)
-                )(env, batch)
-                F[..., w] -= 0.5 * np.einsum("...kj,...kl,...lj->...", B, hy, B)
-                dlam = expr.CompiledMatrix(
-                    [
-                        [expr.differentiate(self.lambda_symbolic[w][j], ul) for ul in pr.u_labels]
-                        for j in range(pr.d)
-                    ]
-                )(env, batch)  # (d, m) rows: dLam_wj/dv_l
-                F[..., w] -= np.einsum("...jl,...lj->...", dlam, B)
-            out = (self._dxg(env, batch) @ F[..., None])[..., 0]
+                F[..., w] -= 0.5 * np.einsum("...kj,...kl,...lj->...", B, k["hy"][..., w, :, :], B)
+                # dlam[w, l, j] = dLam_wj/dv_l
+                F[..., w] -= np.einsum("...lj,...lj->...", k["dlam"][..., w, :, :], B)
+            out = (k["dxg"] @ F[..., None])[..., 0]
             for i in range(pr.p):
-                hg = expr.CompiledMatrix(
-                    expr.hessian(pr.g[i], pr.x_labels, pr.x_labels)
-                )(env, batch)
-                out[..., i] += 0.5 * np.einsum("...kj,...kl,...lj->...", lam, hg, lam)
+                out[..., i] += 0.5 * np.einsum("...kj,...kl,...lj->...", lam, k["hg"][..., i, :, :], lam)
         return out
 
     def sde(self) -> AugmentedSde:
         pr = self.problem
 
         def both(points):
-            env, batch = self._env(points)
             with np.errstate(all="ignore"):
-                drift = np.concatenate([self._f(env, batch), self._a(env, batch)], axis=-1)
-                diff = np.concatenate([self._sigma(env, batch), self._b(env, batch)], axis=-2)
-            return drift, diff
+                k = self._step(points)
+            return k["drift"], k["diffusion"]
 
         def guard(points):
-            env, batch = self._env(points)
             with np.errstate(all="ignore"):
-                det = np.asarray(self._det(env))
+                det = self._det(points)["det"]
             return np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
 
         return AugmentedSde(
@@ -281,6 +256,11 @@ def build_unit_prob_sde(
     chi_sym: list[expr.Expression] = []
     hy = [expr.hessian(yw, u_l, u_l) for yw in spec.y]
     hg = [expr.hessian(gi, x_l, x_l) for gi in pr.g]
+    # dlam[w][l][j] = dLam_wj / dv_l
+    dlam = [
+        [[expr.differentiate(lam_sym[w][j], ul) for j in range(pr.d)] for ul in u_l]
+        for w in range(pr.n)
+    ]
     s_terms: list[expr.Expression] = []
     for w in range(pr.n):
         s: expr.Expression = pr.f[w]
@@ -296,8 +276,7 @@ def build_unit_prob_sde(
                     )
         for j in range(pr.d):
             for l in range(pr.m):
-                dlam = expr.differentiate(lam_sym[w][j], u_l[l])
-                s = expr.sub(s, expr.mul(dlam, b_sym[l][j]))
+                s = expr.sub(s, expr.mul(dlam[w][l][j], b_sym[l][j]))
         s_terms.append(s)
     for i in range(pr.p):
         acc: expr.Expression = expr.const(0.0)
@@ -325,14 +304,18 @@ def build_unit_prob_sde(
         a_symbolic=a_sym,
         gain_det=gain_det,
     )
-    red._a = expr.CompiledVector(a_sym)
-    red._b = expr.CompiledMatrix(b_sym)
-    red._lam = expr.CompiledMatrix(lam_sym)
-    red._det = expr.compile_expr(gain_det)
-    red._f = expr.CompiledVector(pr.f)
-    red._sigma = expr.CompiledMatrix(pr.sigma)
-    red._dxg = expr.CompiledMatrix(dg)
-    red._dvy = expr.CompiledMatrix(dvy)
+    labels = pr.labels
+    red._step = expr.compile_kernel(
+        labels, {"drift": list(pr.f) + a_sym, "diffusion": list(pr.sigma) + b_sym}
+    )
+    red._det = expr.compile_kernel(labels, {"det": gain_det})
+    red._pieces = expr.compile_kernel(
+        labels,
+        {
+            "f": pr.f, "a": a_sym, "B": b_sym, "lam": lam_sym, "dxg": dg, "dvy": dvy,
+            "hy": hy, "dlam": dlam, "hg": hg,
+        },
+    )
     return red
 
 
@@ -406,8 +389,7 @@ def solve_unit_prob(
         )
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(red.sde(), init, dt, T, increments, seed=seed)
-    env = expr.make_env(pr.labels, path.states)
-    g_vals = expr.CompiledVector(pr.g)(env, (len(path),))
+    g_vals = pr.constraint_kernel(pr.labels)(path.states)["g"]
     g_norm = np.abs(g_vals).max(axis=1)
     path.metadata["sup_constraint_norm"] = float(g_norm.max())
     path.metadata["fraction_inside_band"] = float(np.mean(g_norm < spec.epsilon))

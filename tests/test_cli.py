@@ -125,6 +125,32 @@ class TestSolve:
         for rel in json.loads((out1 / "manifest.json").read_text())["outputs"]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    @pytest.fixture()
+    def index1_run(self, linear_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["solve", str(linear_file), "--method", "index1",
+                     "--dt", "1e-3", "--t-end", "0.05", "--paths", "2", "--seed", "3",
+                     "--out", str(out)]) == 0
+        return out
+
+    def test_rerun_refuses_modified_problem_exit_2(self, index1_run, tmp_path, capsys):
+        problem = index1_run / "problem.sdae"
+        problem.write_text(problem.read_text().replace("0.3", "0.4"))
+        rc = main(["rerun", str(index1_run / "manifest.json"), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "problem_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_rerun_refuses_other_version_exit_3(self, index1_run, tmp_path, capsys):
+        manifest_path = index1_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.0.0-other"
+        manifest_path.write_text(json.dumps(manifest))
+        rc = main(["rerun", str(manifest_path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "0.0.0-other" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_picard_method(self, tmp_path, capsys):
         # contraction example as a file
         src = tmp_path / "c.sdae"

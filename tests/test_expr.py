@@ -1,9 +1,12 @@
 """Expression DSL: parsing, printing, differentiation, evaluation, compilation."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import central_fd, random_points
 from sdaekit.errors import (
@@ -12,11 +15,13 @@ from sdaekit.errors import (
     MissingBindingError,
 )
 from sdaekit.expr import (
+    UNARY_FUNCTIONS,
     Binary,
     Constant,
     Unary,
     Variable,
     compile_expr,
+    compile_kernel,
     differentiate,
     evaluate,
     free_variables,
@@ -230,6 +235,127 @@ class TestCompile:
         with np.errstate(all="ignore"):
             val = fn({"x1": np.float64(-1.0)})
         assert not np.isfinite(val)
+
+    def test_negative_constant_base_stays_the_base(self):
+        e = Binary("pow", Constant(-2.0), Variable("x1"))
+        got = compile_expr(e)({"x1": np.array([2.0, 3.0])})
+        np.testing.assert_array_equal(got, [4.0, -8.0])
+
+    def test_non_finite_constant_compiles(self):
+        e = parse("1e999*x1")
+        got = compile_expr(e)({"x1": np.array([2.0])})
+        np.testing.assert_array_equal(got, [math.inf])
+
+
+# ---------------------------------------------------------------------------
+# compile_kernel against per-entry compile_expr evaluation
+# ---------------------------------------------------------------------------
+
+KERNEL_LABELS = ("x1", "x2", "u1")
+KERNEL_LEAVES = [Variable(nm) for nm in KERNEL_LABELS] + [
+    Constant(v) for v in (0.0, -0.0, 1.0, -2.0, 0.5, 3.0, 1e-3)
+]
+
+
+@st.composite
+def shared_dags(draw):
+    """A vector and a matrix whose entries share subtrees of one random DAG.
+
+    Nodes pick their operands from everything built so far, so subtrees are
+    reused by object; deep copies add structurally equal distinct objects, and
+    swaps add the mirror image of an earlier operation (b - a beside a - b).
+    Every operation has a variable below it: an all-constant operation is
+    plain Python float arithmetic in both paths, which the smart constructors
+    fold away and which can raise instead of giving nan.
+    """
+    pool = list(KERNEL_LEAVES)
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(("unary", "binary", "copy", "swap")))
+        if kind == "unary":
+            node = Unary(draw(st.sampled_from(("neg",) + UNARY_FUNCTIONS)), pick())
+        elif kind == "binary":
+            op = draw(st.sampled_from(("add", "sub", "mul", "div", "pow")))
+            node = Binary(op, pick(), pick())
+        elif kind == "copy":
+            node = copy.deepcopy(pick())
+        else:
+            node = pick()
+            if isinstance(node, Binary):
+                node = Binary(node.op, node.right, node.left)
+        if free_variables(node):
+            pool.append(node)
+    vector = [pick() for _ in range(draw(st.integers(1, 4)))]
+    matrix = [[pick(), pick()] for _ in range(draw(st.integers(1, 3)))]
+    return vector, matrix
+
+
+kernel_points = st.lists(
+    st.lists(
+        st.one_of(
+            st.floats(-4.0, 4.0),
+            st.sampled_from((0.0, -0.0, -1.0, 1e-300)),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _per_entry(rows, env, batch):
+    """The reference: one compile_expr closure per entry, as in the old hot path."""
+    rows = np.asarray(rows, dtype=object)
+    out = np.empty(batch + rows.shape)
+    for index in np.ndindex(rows.shape):
+        out[(Ellipsis, *index)] = compile_expr(rows[index])(env)
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dag=shared_dags(), points=kernel_points)
+def test_kernel_matches_per_entry_evaluation_bitwise(dag, points):
+    vector, matrix = dag
+    pts = np.array(points, dtype=float)
+    env = {nm: pts[..., i] for i, nm in enumerate(KERNEL_LABELS)}
+    batch = pts.shape[:-1]
+    kernel = compile_kernel(KERNEL_LABELS, {"v": vector, "m": matrix})
+    with np.errstate(all="ignore"):
+        got = kernel(pts)
+        want_v = _per_entry(vector, env, batch)
+        want_m = _per_entry(matrix, env, batch)
+    assert _same_bits(got["v"], want_v)  # nan and inf in the same places, same bits
+    assert _same_bits(got["m"], want_m)
+
+
+def test_kernel_computes_each_distinct_subtree_once():
+    shared = parse("sin(x1)*exp(u1)")
+    twin = parse("sin(x1)*exp(u1)")  # equal structure, distinct objects
+    kernel = compile_kernel(("x1", "u1"), {"v": [shared, Binary("add", shared, twin)]})
+    code = kernel.__code__
+    # one name per distinct operation: sin, exp, mul, add
+    assert sum(nm.startswith("_t") for nm in code.co_varnames) == 4
+
+
+def test_kernel_keeps_signed_zero_constants_apart():
+    e_pos = Binary("div", Constant(1.0), Binary("mul", Variable("x1"), Constant(0.0)))
+    e_neg = Binary("div", Constant(1.0), Binary("mul", Variable("x1"), Constant(-0.0)))
+    with np.errstate(all="ignore"):
+        out = compile_kernel(("x1",), {"v": [e_pos, e_neg]})(np.array([[1.0]]))["v"]
+    np.testing.assert_array_equal(out, [[math.inf, -math.inf]])
+
+
+def test_kernel_rejects_unknown_variable():
+    with pytest.raises(ValueError, match="u1"):
+        compile_kernel(("x1",), {"v": [parse("x1 + u1")]})
 
 
 def test_expressions_are_immutable():

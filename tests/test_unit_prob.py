@@ -211,3 +211,42 @@ class TestSolve:
         path = solve_unit_prob(pr, paper_example_spec(EPS), 1e-5, 0.5, seed=0)
         assert not path.status.completed  # truncated, no exception
         assert path.metadata["fraction_inside_band"] >= 0.99
+
+
+# Exact statuses of the criterion-4 ensemble (seed 2024, dt = 1e-5, T = 0.5,
+# 20 paths).  Every path stops on the singular guard: the arctan
+# characteristic's bounded range is outrun by the x1 noise.  A change in
+# survival, or in any truncation step, is a change in the paths.
+CRITERION_4_STATUSES = [
+    "singular-reduction@1730", "singular-reduction@11415", "singular-reduction@2323",
+    "singular-reduction@19355", "singular-reduction@4106", "singular-reduction@9004",
+    "singular-reduction@3105", "singular-reduction@12237", "singular-reduction@15245",
+    "singular-reduction@15174", "singular-reduction@6684", "singular-reduction@2612",
+    "singular-reduction@4623", "singular-reduction@6713", "singular-reduction@3079",
+    "singular-reduction@882", "singular-reduction@6617", "singular-reduction@7575",
+    "singular-reduction@3643", "singular-reduction@3221",
+]
+
+
+def _paper_ensemble(dt, T, paths, seed, chunk):
+    pr = builtin("paper-example")
+    spec = paper_example_spec(EPS)
+    red = build_unit_prob_sde(pr, spec)
+    init = np.concatenate([pr.x0, consistent_init(spec, pr)])
+    return run_ensemble(red.sde(), init, dt, T, paths, seed, chunk=chunk)
+
+
+def test_criterion_4_path_statuses_pinned():
+    ens = _paper_ensemble(1e-5, 0.5, 20, 2024, chunk=20)
+    assert [str(p.status) for p in ens.paths] == CRITERION_4_STATUSES
+
+
+def test_ensemble_bitwise_invariant_to_chunk_size():
+    a = _paper_ensemble(1e-5, 0.02, 10, 7, chunk=3)
+    b = _paper_ensemble(1e-5, 0.02, 10, 7, chunk=10)
+    assert {p.status.completed for p in a.paths} == {True, False}  # both kinds covered
+    for pa, pb in zip(a.paths, b.paths, strict=True):
+        assert str(pa.status) == str(pb.status)
+        assert pa.states.tobytes() == pb.states.tobytes()
+        assert pa.dW.tobytes() == pb.dW.tobytes()
+
