@@ -12,13 +12,18 @@ P(|lambda(t)| > eps) <= alpha for any gain above J / (2 eps^2 alpha).
 The supremum is a grid estimate with one refinement pass; both the raw grid
 value and a safety-inflated value are reported, and the gain is chosen from
 the raw value so the stated threshold is reproducible.  Two solve modes
-enforce the same h: a per-step warm-started Newton solve (default, robust
-near singularities) and the exact index-1 reduction of the modified problem.
+enforce the same h, both on the shared Euler-Maruyama engine: a per-step
+warm-started Newton solve (default, robust near singularities), which steps
+x with (f, sigma) and projects u onto h(x, u) = 0 through the engine's
+``project`` hook, and the exact index-1 reduction of the modified problem.
+The Newton residual and D_u h come from one staged kernel: the nodes that
+depend on x alone are computed once per step, the rest once per iterate.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -35,12 +40,10 @@ from .errors import (
 from .index1 import build_index1_sde
 from .index_reduction import ito_drift_rows
 from .integrator import (
+    AugmentedSde,
     Ensemble,
-    PathStatus,
     SamplePath,
-    StatusKind,
     constraint_process,
-    derive_seed,
     euler_maruyama,
     n_steps,
     wiener_increments,
@@ -213,21 +216,34 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
 
 
 # ---------------------------------------------------------------------------
-# Newton-per-step engine (batched across paths)
+# Newton per step: a projection hook on the shared Euler-Maruyama engine
 # ---------------------------------------------------------------------------
 
 
-def _newton_batch(res_fn, jac_fn, u0, tol, max_iter, det_tol):
-    """Solve res(u) = 0 row-wise; returns (u, converged, singular, iters)."""
+@functools.lru_cache(maxsize=None)
+def _eye(m: int) -> np.ndarray:
+    """Read-only identity, shared by every Newton solve of size m."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+def _newton_batch(fn, u0, tol, max_iter, det_tol):
+    """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
+
+    Returns (u, converged, singular, iters).  The residual of the last update
+    is always evaluated, so a path counts as converged only on a confirmed
+    residual.
+    """
     u = u0.copy()
     P, m = u.shape
     converged = np.zeros(P, dtype=bool)
     singular = np.zeros(P, dtype=bool)
     iters = np.zeros(P, dtype=np.int64)
-    eye = np.eye(m)
+    eye = _eye(m)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            res = res_fn(u)
+            res, jac = fn(u)
             resn = np.abs(res).max(axis=1)
             pending = ~converged & ~singular
             finite = np.isfinite(resn)
@@ -235,7 +251,6 @@ def _newton_batch(res_fn, jac_fn, u0, tol, max_iter, det_tol):
             pending = ~converged & ~singular
             if not pending.any():
                 break
-            jac = jac_fn(u)
             det = np.linalg.det(jac)
             bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
             singular |= bad
@@ -252,26 +267,36 @@ def _newton_batch(res_fn, jac_fn, u0, tol, max_iter, det_tol):
     return u, converged, singular, iters
 
 
-def _h_kernels(h_pr: SdaeProblem):
-    """Kernels for h and for D_u h over the (x, u) labels."""
-    return (
-        expr.compile_kernel(h_pr.labels, {"h": h_pr.g}),
-        expr.compile_kernel(h_pr.labels, {"jac": expr.jacobian(h_pr.g, h_pr.u_labels)}),
+def _h_system(h_pr: SdaeProblem):
+    """``state -> fn`` with ``fn(u) = (h, D_u h)`` at the state's x columns.
+
+    One staged kernel gives both: the nodes of h and D_u h that depend on x
+    alone are computed once per state, the rest once per Newton iterate.
+    """
+    prepare, finish = expr.compile_staged(
+        h_pr.labels, h_pr.x_labels,
+        {"h": h_pr.g, "jac": expr.jacobian(h_pr.g, h_pr.u_labels)},
     )
+    n = h_pr.n
+
+    def at(state: np.ndarray):
+        prepared = prepare(state)
+        points = np.array(state, dtype=float)
+
+        def fn(u):
+            points[:, n:] = u
+            k = finish(prepared, points)
+            return k["h"], k["jac"]
+
+        return fn
+
+    return at
 
 
 def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarray:
-    h_fn, jac_fn = _h_kernels(h_pr)
-    x0 = h_pr.x0[None]
-
-    def res(u):
-        return h_fn(np.concatenate([x0, u], axis=1))["h"]
-
-    def jac(u):
-        return jac_fn(np.concatenate([x0, u], axis=1))["jac"]
-
+    fn = _h_system(h_pr)(h_pr.init_point()[None])
     u, ok, singular, _ = _newton_batch(
-        res, jac, h_pr.u0_guess[None].astype(float), tol, 50, SINGULAR_TOL
+        fn, h_pr.u0_guess[None].astype(float), tol, 50, SINGULAR_TOL
     )
     if singular[0]:
         raise SingularReductionError(
@@ -279,7 +304,7 @@ def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarra
             "cannot be solved for u there"
         )
     if not ok[0]:
-        raise NewtonDivergenceError(50, float(np.abs(res(u)).max()))
+        raise NewtonDivergenceError(50, float(np.abs(fn(u)[0]).max()))
     return u[0]
 
 
@@ -291,93 +316,36 @@ def _reduced_index1_problem(h_pr: SdaeProblem, u0: np.ndarray) -> SdaeProblem:
     )
 
 
-def _newton_step_paths(
-    pr: SdaeProblem,
-    h_pr: SdaeProblem,
-    u0: np.ndarray,
-    dt: float,
-    steps: int,
-    dW: np.ndarray,  # (P, steps, d)
-    seeds: list[int],
-    newton_tol: float,
-) -> list[SamplePath]:
-    """Per-step Newton enforcement of h = 0, advanced in lockstep over paths."""
-    count = dW.shape[0]
-    coeff_fn = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
-    h_fn, jac_fn = _h_kernels(h_pr)
-    labels = pr.labels
-    dom_code, sing_code = 1, 2
+def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem, newton_tol: float) -> AugmentedSde:
+    """x steps with (f, sigma); u is projected onto h(x, u) = 0 by Newton."""
+    coeff = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
+    h_at = _h_system(h_pr)
+    n = pr.n
 
-    x = np.tile(pr.x0, (count, 1))
-    u = np.tile(u0, (count, 1))
-    states = np.empty((count, steps + 1, pr.n + pr.m))
-    states[:, 0] = np.concatenate([x, u], axis=1)
-    stop = np.full(count, steps, dtype=np.int64)
-    kind = np.zeros(count, dtype=np.int8)
-    alive = np.ones(count, dtype=bool)
-    newton_iters = np.zeros(count, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        for k in range(steps):
-            if not alive.any():
-                break
-            coeff = coeff_fn(np.concatenate([x, u], axis=1))
-            drift, diff = coeff["drift"], coeff["diffusion"]
-            x_next = x + drift * dt
-            for j in range(pr.d):
-                x_next = x_next + diff[:, :, j] * dW[:, k, j][:, None]
-            bad = alive & ~np.isfinite(x_next).all(axis=1)
-            if bad.any():
-                kind[bad] = dom_code
-                stop[bad] = k
-                alive &= ~bad
-            x = np.where(alive[:, None], x_next, x)
+    def both(points):
+        k = coeff(points)
+        return None, k["drift"], k["diffusion"]
 
-            def res(uu, _x=x):
-                return h_fn(np.concatenate([_x, uu], axis=1))["h"]
+    def project(state):
+        return _newton_batch(h_at(state), state[:, n:], newton_tol, 50, SINGULAR_TOL)
 
-            def jac(uu, _x=x):
-                return jac_fn(np.concatenate([_x, uu], axis=1))["jac"]
+    return AugmentedSde(
+        dim=pr.n + pr.m, d=pr.d, labels=pr.labels, both=both, project=project,
+        origin="bounded-newton", problem=pr,
+    )
 
-            u_next, ok, singular, iters = _newton_batch(
-                res, jac, u, newton_tol, 50, SINGULAR_TOL
-            )
-            newton_iters += np.where(alive, iters, 0)
-            sing = alive & singular
-            if sing.any():
-                kind[sing] = sing_code
-                stop[sing] = k
-                alive &= ~sing
-            failed = alive & ~ok
-            if failed.any():
-                kind[failed] = dom_code
-                stop[failed] = k
-                alive &= ~failed
-            u = np.where(alive[:, None], u_next, u)
-            states[:, k + 1] = np.concatenate([x, u], axis=1)
 
-    out: list[SamplePath] = []
-    for i in range(count):
-        status_kind = (
-            StatusKind.COMPLETED,
-            StatusKind.DOMAIN_ERROR,
-            StatusKind.SINGULAR_REDUCTION,
-        )[kind[i]]
-        last = steps if status_kind is StatusKind.COMPLETED else int(stop[i])
-        out.append(
-            SamplePath(
-                dt=dt,
-                t_grid=np.arange(last + 1, dtype=float) * dt,
-                states=states[i, : last + 1].copy(),
-                dW=dW[i, :last].copy(),
-                seed=seeds[i],
-                status=PathStatus(
-                    status_kind, None if status_kind is StatusKind.COMPLETED else int(stop[i])
-                ),
-                labels=labels,
-                metadata={"newton_iterations": int(newton_iters[i])},
-            )
-        )
-    return out
+def _stabilised_sde(
+    pr: SdaeProblem, cfg: BoundedMConfig, mode: SolveMode, newton_tol: float
+) -> tuple[AugmentedSde, np.ndarray]:
+    """The SDE enforcing h = 0 in the given mode, and its initial state."""
+    h_pr = build_bounded_constraint(pr, cfg.b)
+    u0 = _initial_algebraic_value(h_pr, newton_tol)
+    if mode is SolveMode.LEMMA1_REDUCTION:
+        sde = build_index1_sde(_reduced_index1_problem(h_pr, u0))
+    else:
+        sde = _newton_sde(pr, h_pr, newton_tol)
+    return sde, np.concatenate([pr.x0, u0])
 
 
 def run_bounded_ensemble(
@@ -394,31 +362,10 @@ def run_bounded_ensemble(
 ) -> Ensemble:
     """Simulate the stabilised system for a whole ensemble (derived seeds)."""
     cfg = resolve_config(pr, cfg)
-    h_pr = build_bounded_constraint(pr, cfg.b)
-    u0 = _initial_algebraic_value(h_pr, newton_tol)
-
-    if mode is SolveMode.LEMMA1_REDUCTION:
-        sde = build_index1_sde(_reduced_index1_problem(h_pr, u0))
-        ens = run_ensemble(
-            sde, np.concatenate([pr.x0, u0]), dt, T, paths, base_seed,
-            chunk=chunk, problem=pr,
-        )
-        ens.meta.update({"mode": mode.value, "config": cfg})
-        return ens
-
-    steps = n_steps(T, dt)
-    out_paths: list[SamplePath] = []
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        seeds = [derive_seed(base_seed, start + k) for k in range(count)]
-        dW = np.stack([wiener_increments(s, steps, pr.d, dt) for s in seeds])
-        out_paths.extend(
-            _newton_step_paths(pr, h_pr, u0, dt, steps, dW, seeds, newton_tol)
-        )
-    return Ensemble(
-        paths=out_paths, dt=dt, T=T, base_seed=base_seed, sde=None, problem=pr,
-        meta={"mode": mode.value, "config": cfg},
-    )
+    sde, init = _stabilised_sde(pr, cfg, mode, newton_tol)
+    ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
+    ens.meta.update({"mode": mode.value, "config": cfg})
+    return ens
 
 
 def solve_bounded(
@@ -433,17 +380,9 @@ def solve_bounded(
 ) -> SamplePath:
     """Single stabilised path; the literal seed drives the increments."""
     cfg = resolve_config(pr, cfg)
-    h_pr = build_bounded_constraint(pr, cfg.b)
-    u0 = _initial_algebraic_value(h_pr, newton_tol)
-    steps = n_steps(T, dt)
-    inc = wiener_increments(seed, steps, pr.d, dt)
-    if mode is SolveMode.LEMMA1_REDUCTION:
-        sde = build_index1_sde(_reduced_index1_problem(h_pr, u0))
-        path = euler_maruyama(sde, np.concatenate([pr.x0, u0]), dt, T, inc, seed=seed)
-    else:
-        path = _newton_step_paths(
-            pr, h_pr, u0, dt, steps, inc[None], [seed], newton_tol
-        )[0]
+    sde, init = _stabilised_sde(pr, cfg, mode, newton_tol)
+    inc = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
+    path = euler_maruyama(sde, init, dt, T, inc, seed=seed)
     lam = constraint_process(pr, path)
     path.metadata["max_lambda_norm"] = float(np.linalg.norm(lam, axis=1).max())
     path.metadata["gain"] = cfg.b

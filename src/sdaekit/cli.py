@@ -103,8 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--save-paths", type=int, default=16,
                    help="number of per-path CSVs to write")
-    p.add_argument("--threads", type=int, default=None,
-                   help="ensemble parallelism hint; results are independent of it")
     # bounded / unit-prob shared
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -273,7 +271,7 @@ def _solve_ensemble(pr: SdaeProblem, args) -> tuple[Ensemble, dict]:
 
 
 _MANIFEST_KEYS = (
-    "method", "dt", "t_end", "seed", "paths", "save_paths", "threads",
+    "method", "dt", "t_end", "seed", "paths", "save_paths",
     "epsilon", "alpha", "box", "grid", "b", "mode",
     "y_file", "y_box", "y_grid", "iterations", "tol",
 )
@@ -341,6 +339,7 @@ def _cmd_verify_bound(args) -> int:
         )
     ns = argparse.Namespace(**stored)
     ns.file = str(run_dir / "problem.sdae")
+    _check_run_inputs(manifest, Path(ns.file))
     pr = _load(ns.file)
     cfg = BoundedMConfig(
         epsilon=args.epsilon, alpha=args.alpha, box=_parse_box(ns.box),
@@ -440,14 +439,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_preprocess_argv(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    threads = getattr(args, "threads", None)
-    if threads is None and os.environ.get("SDAE_THREADS"):
-        try:
-            threads = int(os.environ["SDAE_THREADS"])
-        except ValueError:
-            threads = None
-    if hasattr(args, "threads"):
-        args.threads = threads  # recorded in the manifest; results do not depend on it
     try:
         return _DISPATCH[args.subcommand](args)
     except (FileNotFoundError, ValueError) as exc:

@@ -16,7 +16,12 @@ kernel (:func:`compile_kernel`): a single function from a point array to all
 the labelled arrays it needs, written as straight-line numpy code in which
 every distinct subtree is computed once.  Sharing never reorders a float
 operation, so a kernel's entries equal the per-entry evaluation of
-:func:`compile_expr` bit for bit.
+:func:`compile_expr` bit for bit.  A call site that solves for some
+variables while holding the others fixed uses the staged form
+(:func:`compile_staged`): ``prepare`` computes the nodes of the fixed
+variables once, ``finish`` the rest per iterate, with the same bits.
+Operations on constants alone also run through numpy, so out-of-domain
+constants give nan or inf like any other node.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
     "hessian",
     "compile_expr",
     "compile_kernel",
+    "compile_staged",
     "CompiledVector",
     "CompiledMatrix",
     "make_env",
@@ -602,12 +608,21 @@ def _const_code(v: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _node_code(e: Unary | Binary, *operands: str) -> str:
-    """Source of one operation node, given the source of its operands."""
+def _node_code(e: Unary | Binary, *operands: str, constant: bool = False) -> str:
+    """Source of one operation node, given the source of its operands.
+
+    ``constant`` marks a node without variables below it.  Its left operand
+    is wrapped in ``_np.float64`` so that the operation follows numpy
+    semantics (nan or inf, never an exception or a complex number) like
+    every other node; Python float arithmetic would raise on ``0.0 ** -1``
+    and turn ``(-2.0) ** 0.5`` complex.
+    """
     if isinstance(e, Unary):
         (child,) = operands
         return f"(-{child})" if e.op == "neg" else f"{_NP_FUNCS[e.op]}({child})"
     left, right = operands
+    if constant:
+        left = f"_np.float64({left})"
     if e.op == "pow":
         cv = _cv(e.right)
         if cv is not None and float(cv).is_integer() and abs(cv) < 128:
@@ -616,14 +631,15 @@ def _node_code(e: Unary | Binary, *operands: str) -> str:
     return f"({left} {_BINARY_SYMBOLS[e.op]} {right})"
 
 
-def _emit(e: Expression) -> str:
+def _emit(e: Expression) -> tuple[str, bool]:
+    """Source of ``e`` and whether it is free of variables."""
     if isinstance(e, Constant):
-        return _const_code(e.value)
+        return _const_code(e.value), True
     if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Unary):
-        return _node_code(e, _emit(e.child))
-    return _node_code(e, _emit(e.left), _emit(e.right))
+        return e.name, False
+    kids = [_emit(e.child)] if isinstance(e, Unary) else [_emit(e.left), _emit(e.right)]
+    constant = all(c for _, c in kids)
+    return _node_code(e, *(code for code, _ in kids), constant=constant), constant
 
 
 def compile_expr(e: Expression) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
@@ -632,13 +648,18 @@ def compile_expr(e: Expression) -> Callable[[Mapping[str, np.ndarray]], np.ndarr
     lines = ["def _compiled(env):"]
     for nm in names:
         lines.append(f"    {nm} = env['{nm}']")
-    lines.append(f"    return {_emit(e)}")
+    lines.append(f"    return {_emit(e)[0]}")
     src = "\n".join(lines)
     namespace = {"_np": np}
     exec(compile(src, "<sdae-expr>", "exec"), namespace)
     fn = namespace["_compiled"]
     fn.expression = e
     return fn
+
+
+# stages of a node in a kernel: no variables, only held-fixed variables, or a
+# free variable somewhere below it
+_CONST, _FIXED, _FREE = 0, 1, 2
 
 
 class _SharedEmitter:
@@ -649,11 +670,17 @@ class _SharedEmitter:
     meet in ``by_key``, whose keys hold the operator and the operands' source.
     Keying on source rather than on node equality keeps ``0.0`` and ``-0.0``
     apart, which compare equal but print (and multiply) differently.
+
+    Each node also gets a stage: ``_CONST`` without variables, ``_FIXED`` when
+    every variable below it is in ``fixed``, ``_FREE`` otherwise.  A staged
+    kernel computes the first two stages once and the last per call.
     """
 
-    def __init__(self):
-        self.lines: list[str] = []
+    def __init__(self, fixed: frozenset[str] = frozenset()):
+        self.fixed = fixed
+        self.nodes: list[tuple[str, str, tuple[str, ...]]] = []  # (name, source, operands)
         self.names: set[str] = set()
+        self.stage: dict[str, int] = {}  # source of every leaf and name of every node
         self.by_id: dict[int, str] = {}
         self.by_key: dict[tuple[str, ...], str] = {}
 
@@ -663,9 +690,11 @@ class _SharedEmitter:
             return hit
         if isinstance(e, Constant):
             out = _const_code(e.value)
+            self.stage[out] = _CONST
         elif isinstance(e, Variable):
             self.names.add(e.name)
             out = e.name
+            self.stage[out] = _FIXED if e.name in self.fixed else _FREE
         else:
             kids = (self.code(e.child),) if isinstance(e, Unary) else (self.code(e.left), self.code(e.right))
             key = (e.op, *kids)
@@ -673,7 +702,9 @@ class _SharedEmitter:
             if out is None:
                 out = f"_t{len(self.by_key)}"
                 self.by_key[key] = out
-                self.lines.append(f"    {out} = {_node_code(e, *kids)}")
+                stage = max(self.stage[k] for k in kids)
+                self.stage[out] = stage
+                self.nodes.append((out, _node_code(e, *kids, constant=stage == _CONST), kids))
         self.by_id[id(e)] = out
         return out
 
@@ -697,22 +728,49 @@ def _nested_entries(value, index=()):
         yield index, value
 
 
-def _generate(header: list[str], outputs: Mapping[str, object], bind) -> Callable:
-    """Compile ``header``, one line per variable from ``bind``, then the outputs."""
-    em = _SharedEmitter()
+def _assemble(em: _SharedEmitter, outputs: Mapping[str, object]):
+    """Emit every output entry; returns (assignment lines, return line, entry sources)."""
     assign: list[str] = []
+    used: list[str] = []
     for k, (name, value) in enumerate(outputs.items()):
         shape = _nested_shape(value)
         assign.append(f"    _o{k} = _np.empty(batch + {shape!r})")
         for index, e in _nested_entries(value):
             where = ", ".join(["...", *map(str, index)])
-            assign.append(f"    _o{k}[{where}] = {em.code(e)}")
+            code = em.code(e)
+            used.append(code)
+            assign.append(f"    _o{k}[{where}] = {code}")
     result = ", ".join(f"{name!r}: _o{k}" for k, name in enumerate(outputs))
-    lines = header + [f"    {nm} = {bind(nm)}" for nm in sorted(em.names)]
-    lines += em.lines + assign + [f"    return {{{result}}}"]
+    return assign, f"    return {{{result}}}", used
+
+
+def _exec(lines: list[str], *names: str):
     namespace = {"_np": np}
     exec(compile("\n".join(lines), "<sdae-kernel>", "exec"), namespace)
-    return namespace["_kernel"]
+    return tuple(namespace[nm] for nm in names)
+
+
+def _generate(header: list[str], outputs: Mapping[str, object], bind) -> Callable:
+    """Compile ``header``, one line per variable from ``bind``, then the outputs."""
+    em = _SharedEmitter()
+    assign, ret, _ = _assemble(em, outputs)
+    lines = header + [f"    {nm} = {bind(nm)}" for nm in sorted(em.names)]
+    lines += [f"    {out} = {src}" for out, src, _ in em.nodes] + assign + [ret]
+    return _exec(lines, "_kernel")[0]
+
+
+def _point_binder(labels: tuple[str, ...]):
+    column = {lab: i for i, lab in enumerate(labels)}
+
+    def bind(nm: str) -> str:
+        if nm not in column:
+            raise ValueError(f"kernel references '{nm}', which is not among the labels {labels}")
+        return f"points[..., {column[nm]}]"
+
+    return bind
+
+
+_POINTS_HEADER = "    points = _np.asarray(points, dtype=float)"
 
 
 def compile_kernel(
@@ -731,19 +789,45 @@ def compile_kernel(
     evaluation bit for bit.
     """
     labels = tuple(labels)
-    column = {lab: i for i, lab in enumerate(labels)}
+    header = ["def _kernel(points):", _POINTS_HEADER, "    batch = points.shape[:-1]"]
+    return _generate(header, outputs, _point_binder(labels))
 
-    def bind(nm: str) -> str:
-        if nm not in column:
-            raise ValueError(f"kernel references '{nm}', which is not among the labels {labels}")
-        return f"points[..., {column[nm]}]"
 
-    header = [
-        "def _kernel(points):",
-        "    points = _np.asarray(points, dtype=float)",
-        "    batch = points.shape[:-1]",
-    ]
-    return _generate(header, outputs, bind)
+def compile_staged(
+    labels: Iterable[str], fixed: Iterable[str], outputs: Mapping[str, object]
+) -> tuple[Callable[[np.ndarray], tuple], Callable[[tuple, np.ndarray], dict[str, np.ndarray]]]:
+    """:func:`compile_kernel` split in two for callers that hold some labels fixed.
+
+    Returns ``(prepare, finish)``.  ``prepare(points)`` computes, once, every
+    node whose variables all lie in ``fixed`` and reads only those columns.
+    ``finish(prepared, points)`` computes the remaining nodes and returns the
+    same dict as the one-piece kernel; it may be called many times with the
+    other columns changed, as a Newton solve for the free variables does.
+    Both halves print each node as :func:`compile_kernel` does, so
+    ``finish(prepare(p), p)`` equals ``compile_kernel(labels, outputs)(p)``
+    bit for bit.
+    """
+    labels = tuple(labels)
+    bind = _point_binder(labels)
+    em = _SharedEmitter(frozenset(fixed))
+    assign, ret, entries = _assemble(em, outputs)
+    pre = [(out, src, kids) for out, src, kids in em.nodes if em.stage[out] != _FREE]
+    post = [(out, src, kids) for out, src, kids in em.nodes if em.stage[out] == _FREE]
+    pre_used = {k for _, _, kids in pre for k in kids}
+    post_used = {k for _, _, kids in post for k in kids} | set(entries)
+    carried = [out for out, _, _ in pre if out in post_used]
+    # the trailing comma keeps a single carried value a tuple
+    pack = ", ".join(carried) + ("," if len(carried) == 1 else "")
+
+    lines = ["def _prepare(points):", _POINTS_HEADER]
+    lines += [f"    {nm} = {bind(nm)}" for nm in sorted(em.names & pre_used)]
+    lines += [f"    {out} = {src}" for out, src, _ in pre] + [f"    return ({pack})"]
+    lines += ["def _finish(prepared, points):", _POINTS_HEADER, "    batch = points.shape[:-1]"]
+    if carried:
+        lines.append(f"    {pack} = prepared")
+    lines += [f"    {nm} = {bind(nm)}" for nm in sorted(em.names & post_used)]
+    lines += [f"    {out} = {src}" for out, src, _ in post] + assign + [ret]
+    return _exec(lines, "_prepare", "_finish")
 
 
 def _compile_env_kernel(value) -> Callable[[Mapping[str, np.ndarray], tuple[int, ...]], dict[str, np.ndarray]]:

@@ -46,10 +46,8 @@ class Index1Reduction:
     b_symbolic: list[list[expr.Expression]] | None
     singular_guard: float = SINGULAR_TOL
 
-    # kernels built by build_index1_reduction: every coefficient piece at
-    # once, and D_u g alone for the guard
+    # kernel built by build_index1_reduction: every coefficient piece at once
     _pieces: Callable = field(repr=False, default=None)
-    _dug: Callable = field(repr=False, default=None)
 
     def _pieces_at(self, points) -> dict[str, np.ndarray]:
         with np.errstate(all="ignore"):
@@ -95,29 +93,23 @@ class Index1Reduction:
         return out + (k["dxg"] @ k["f"][..., None])[..., 0] + (k["dug"] @ a[..., None])[..., 0]
 
     def sde(self) -> AugmentedSde:
+        """The reduced SDE; its guard reuses the det(D_u g) of the solve."""
         pr = self.problem
 
         def both(points):
             k = self._pieces_at(points)
-            a, B, _ = self._solve(k)
+            a, B, det = self._solve(k)
             with np.errstate(all="ignore"):
                 drift = np.concatenate([k["f"], a], axis=-1)
                 diff = np.concatenate([k["sigma"], B], axis=-2)
-            return drift, diff
-
-        def guard(points):
-            with np.errstate(all="ignore"):
-                det = np.linalg.det(self._dug(points)["dug"])
-            return np.isfinite(det) & (np.abs(det) > self.singular_guard)
+                ok = np.isfinite(det) & (np.abs(det) > self.singular_guard)
+            return ok, drift, diff
 
         return AugmentedSde(
             dim=pr.n + pr.m,
             d=pr.d,
             labels=pr.labels,
-            drift=lambda pts: both(pts)[0],
-            diffusion=lambda pts: both(pts)[1],
             both=both,
-            guard=guard,
             origin="index1",
             problem=pr,
         )
@@ -159,7 +151,6 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
             "hxu": [expr.hessian(gi, x_l, u_l) for gi in pr.g],
         },
     )
-    red._dug = expr.compile_kernel(pr.labels, {"dug": dug_sym})
 
     if pr.m <= 2:
         inv = _symlin.inverse(dug_sym)

@@ -6,9 +6,15 @@ a pure function of its seed and an ensemble of its base seed, independent of
 evaluation order or batching.  The step loop is vectorised across paths; a
 single path is just a batch of one, so both produce bit-identical states.
 
-Paths that leave the coefficient domain or trip a reduction's singular guard
-are truncated and returned with a status instead of raising: Monte Carlo
-statistics must be able to count failures.
+Every method runs on one engine, ``_em_batch``.  Each step makes one call
+``both(x) -> (ok, drift, diffusion)``, so a reduction's singular guard comes
+from the same evaluation as its coefficients.  Methods that keep part of the
+state on a constraint (bounded Newton) add a ``project`` hook that fills
+those columns after the step.
+
+Paths that leave the coefficient domain, trip a reduction's singular guard or
+fail their projection are truncated and returned with a status instead of
+raising: Monte Carlo statistics must be able to count failures.
 """
 
 from __future__ import annotations
@@ -100,24 +106,35 @@ class PathStatus:
 
 @dataclass
 class AugmentedSde:
-    """A plain SDE produced by a reduction; drift and diffusion are batched.
+    """A plain SDE produced by a reduction; every callable is batched.
 
-    ``drift`` maps points of shape (..., dim) to (..., dim); ``diffusion``
-    to (..., dim, d).  ``guard`` (optional) returns a boolean mask of points
-    where the reduction's evaluators are regular; an integrator stops a path
-    with SingularReduction where the mask is false.  ``both``, when present,
-    returns (drift, diffusion) in one evaluation to avoid duplicated work.
+    The engine makes one call per step, ``both(points) -> (ok, drift,
+    diffusion)``: points of shape (P, dim) give a drift of shape (P, k) and
+    a diffusion of shape (P, k, d) for the leading k <= dim columns, and
+    ``ok`` is a boolean mask of the points where the reduction is regular,
+    or None when it has no guard.  A path whose mask is false ends with
+    SingularReduction before the step.  A hand-written SDE may give
+    ``drift``, ``diffusion`` and an optional ``guard`` instead; the engine
+    then assembles the same triple from them.
+
+    ``project`` (optional) fills the remaining dim - k columns after each
+    step: ``project(state) -> (u, converged, singular, iters)``, where
+    ``state`` holds the stepped columns and the previous values of the
+    others.  A singular path ends singular-reduction and an unconverged one
+    domain-error at that step; ``iters`` is summed per path into
+    ``metadata["newton_iterations"]``.
     """
 
     dim: int
     d: int
     labels: tuple[str, ...]
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray] | None = None
+    diffusion: Callable[[np.ndarray], np.ndarray] | None = None
     origin: str = ""
     guard: Callable[[np.ndarray], np.ndarray] | None = None
-    both: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    both: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray, np.ndarray]] | None = None
     problem: SdaeProblem | None = None
+    project: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
 
 
 @dataclass
@@ -168,6 +185,21 @@ _KIND_ORDER = (
 )
 
 
+def _step_fn(sde: AugmentedSde):
+    """The SDE's per-step call ``points -> (ok, drift, diffusion)``."""
+    if sde.both is not None:
+        return sde.both
+    drift, diffusion, guard = sde.drift, sde.diffusion, sde.guard
+    if drift is None or diffusion is None:
+        raise ValueError("an AugmentedSde needs both, or drift and diffusion")
+
+    def both(points):
+        ok = None if guard is None else np.asarray(guard(points), dtype=bool)
+        return ok, drift(points), diffusion(points)
+
+    return both
+
+
 def _em_batch(
     sde: AugmentedSde,
     init: np.ndarray,
@@ -176,51 +208,67 @@ def _em_batch(
     dW: np.ndarray,
     box: Sequence[tuple[float, float]] | None = None,
 ):
-    """Advance a batch of paths; returns (states, stop_index, kind_code)."""
+    """Advance a batch of paths; returns (states, stop_index, kind_code, iters).
+
+    ``iters`` holds the per-path sum of the projection's iterations, or is
+    None without a ``project`` hook.  The state is updated in place, in
+    preallocated buffers, with the same float operations in the same order
+    as X + f dt + sum_j sigma_j dW_j.
+    """
     P, N = init.shape
+    step = _step_fn(sde)
+    project = sde.project
     states = np.empty((P, steps + 1, N))
     states[:, 0] = init
     stop = np.full(P, steps, dtype=np.int64)
     kind = np.zeros(P, dtype=np.int8)
     alive = np.ones(P, dtype=bool)
-    x = init.astype(float).copy()
+    iters = None if project is None else np.zeros(P, dtype=np.int64)
+    x = init.astype(float)
     if box is not None:
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
+
+    def end(mask, code, k):
+        if mask.any():
+            kind[mask] = code
+            stop[mask] = k
+            alive[mask] = False
+
+    singular = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
+    domain = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
+    region = _KIND_ORDER.index(StatusKind.REGION_EXIT)
+    x_next = noise = None
     with np.errstate(all="ignore"):
         for k in range(steps):
             if not alive.any():
                 break
-            if sde.guard is not None:
-                ok = np.asarray(sde.guard(x), dtype=bool)
-                tripped = alive & ~ok
-                if tripped.any():
-                    kind[tripped] = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
-                    stop[tripped] = k
-                    alive &= ~tripped
-                    if not alive.any():
-                        break
-            if sde.both is not None:
-                a, b = sde.both(x)
-            else:
-                a, b = sde.drift(x), sde.diffusion(x)
-            x_next = x + a * dt
+            ok, a, b = step(x)
+            if ok is not None:
+                end(alive & ~ok, singular, k)
+                if not alive.any():
+                    break
+            if x_next is None:  # the stepped columns are known from the first drift
+                n = a.shape[-1]
+                x_next, noise = np.empty((P, n)), np.empty((P, n))
+                stepped = x[:, :n]
+            np.multiply(a, dt, out=x_next)
+            np.add(stepped, x_next, out=x_next)
             for j in range(sde.d):
-                x_next = x_next + b[:, :, j] * dW[:, k, j][:, None]
-            bad = alive & ~np.isfinite(x_next).all(axis=1)
-            if bad.any():
-                kind[bad] = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
-                stop[bad] = k
-                alive &= ~bad
-            x = np.where(alive[:, None], x_next, x)
+                np.multiply(b[:, :, j], dW[:, k, j, None], out=noise)
+                x_next += noise
+            end(alive & ~np.isfinite(x_next).all(axis=1), domain, k)
+            np.copyto(stepped, x_next, where=alive[:, None])
+            if project is not None:
+                u, converged, sing, it = project(x)
+                np.add(iters, it, out=iters, where=alive)
+                end(alive & sing, singular, k)
+                end(alive & ~converged, domain, k)
+                np.copyto(x[:, n:], u, where=alive[:, None])
             states[:, k + 1] = x
             if box is not None:
-                outside = alive & ((x < lo) | (x > hi)).any(axis=1)
-                if outside.any():
-                    kind[outside] = _KIND_ORDER.index(StatusKind.REGION_EXIT)
-                    stop[outside] = k + 1
-                    alive &= ~outside
-    return states, stop, kind
+                end(alive & ((x < lo) | (x > hi)).any(axis=1), region, k + 1)
+    return states, stop, kind, iters
 
 
 def _extract_path(
@@ -232,6 +280,7 @@ def _extract_path(
     dW: np.ndarray,
     seed: int | None,
     steps: int,
+    iters: int | None = None,
 ) -> SamplePath:
     kind = _KIND_ORDER[kind_code]
     last = stop if kind is not StatusKind.COMPLETED else steps
@@ -244,6 +293,7 @@ def _extract_path(
         seed=seed,
         status=status,
         labels=sde.labels,
+        metadata={} if iters is None else {"newton_iterations": int(iters)},
     )
 
 
@@ -270,8 +320,11 @@ def euler_maruyama(
     if init.shape != (sde.dim,):
         raise ValueError(f"initial condition must have dimension {sde.dim}")
     dW = increments[:steps][None]
-    states, stop, kind = _em_batch(sde, init[None], dt, steps, dW, box)
-    return _extract_path(sde, states[0], int(stop[0]), int(kind[0]), dt, dW[0], seed, steps)
+    states, stop, kind, iters = _em_batch(sde, init[None], dt, steps, dW, box)
+    return _extract_path(
+        sde, states[0], int(stop[0]), int(kind[0]), dt, dW[0], seed, steps,
+        None if iters is None else iters[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +355,21 @@ def constraint_process(pr: SdaeProblem, path: SamplePath) -> np.ndarray:
     return g_vals + acc
 
 
+_CSV_BLOCK_ROWS = 2048  # rows formatted per write: bounds the temporary text
+
+
+def _write_rows(fh: TextIO, row_fmt: str, table: np.ndarray) -> None:
+    """Write ``table`` row by row with a %-format; blocks keep one call per block."""
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_path_csv(path: SamplePath, lam: np.ndarray, fh: TextIO) -> None:
     """Path CSV: one row per grid point, 17 significant digits."""
     p = lam.shape[1]
     header = ["t", *path.labels, *[f"lambda{i + 1}" for i in range(p)], "status"]
     fh.write(",".join(header) + "\n")
-    status = str(path.status)
-    for k in range(len(path)):
-        cells = [f"{path.t_grid[k]:.17g}"]
-        cells += [f"{v:.17g}" for v in path.states[k]]
-        cells += [f"{v:.17g}" for v in lam[k]]
-        cells.append(status)
-        fh.write(",".join(cells) + "\n")
+    table = np.column_stack([path.t_grid, path.states, lam])
+    status = str(path.status).replace("%", "%%")
+    _write_rows(fh, ",".join(["%.17g"] * table.shape[1] + [status]) + "\n", table)

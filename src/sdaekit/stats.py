@@ -23,6 +23,7 @@ from .integrator import (
     SamplePath,
     _em_batch,
     _extract_path,
+    _write_rows,
     constraint_process,
     derive_seed,
     n_steps,
@@ -58,10 +59,13 @@ def run_ensemble(
         seeds = [derive_seed(base_seed, start + k) for k in range(count)]
         dW = np.stack([wiener_increments(s, steps, sde.d, dt) for s in seeds])
         init_batch = np.tile(init, (count, 1))
-        states, stop, kind = _em_batch(sde, init_batch, dt, steps, dW, box)
+        states, stop, kind, iters = _em_batch(sde, init_batch, dt, steps, dW, box)
         for k in range(count):
             out.append(
-                _extract_path(sde, states[k], int(stop[k]), int(kind[k]), dt, dW[k], seeds[k], steps)
+                _extract_path(
+                    sde, states[k], int(stop[k]), int(kind[k]), dt, dW[k], seeds[k], steps,
+                    None if iters is None else iters[k],
+                )
             )
     return Ensemble(
         paths=out,
@@ -174,16 +178,13 @@ def write_report_csv(report: ViolationReport, fh: TextIO) -> None:
         + ",".join(f"meanG_{j + 1}" for j in range(p))
     )
     fh.write(header + "\n")
-    for k in range(report.t_grid.shape[0]):
-        bound = report.bound_curve[k] if report.bound_curve is not None else float("nan")
-        cells = [
-            f"{report.t_grid[k]:.17g}",
-            str(int(report.alive[k])),
-            f"{report.empirical_p[k]:.17g}",
-            f"{report.wilson_lo[k]:.17g}",
-            f"{report.wilson_hi[k]:.17g}",
-            f"{report.mean_sq_lambda[k]:.17g}",
-            f"{bound:.17g}",
+    K = report.t_grid.shape[0]
+    bound = report.bound_curve if report.bound_curve is not None else np.full(K, np.nan)
+    table = np.column_stack(
+        [
+            report.t_grid, report.alive, report.empirical_p, report.wilson_lo,
+            report.wilson_hi, report.mean_sq_lambda, bound, report.mean_g,
         ]
-        cells += [f"{v:.17g}" for v in report.mean_g[k]]
-        fh.write(",".join(cells) + "\n")
+    )
+    # the alive count is an integer column; %d prints its float copy exactly
+    _write_rows(fh, ",".join(["%.17g", "%d"] + ["%.17g"] * (5 + p)) + "\n", table)

@@ -144,11 +144,10 @@ class UnitProbReduction:
     a_symbolic: list[expr.Expression]  # m
     gain_det: expr.Expression  # det((Dg) D_v y)
 
-    # kernels built by build_unit_prob_sde: the step's drift (f; a) and
-    # diffusion (sigma; B), the guard's gain_det, and the pieces the
-    # identity checks assemble numerically
+    # kernels built by build_unit_prob_sde: the step's drift (f; a),
+    # diffusion (sigma; B) and guard gain_det, and the pieces the identity
+    # checks assemble numerically
     _step: Callable = field(repr=False, default=None)
-    _det: Callable = field(repr=False, default=None)
     _pieces: Callable = field(repr=False, default=None)
 
     def _pieces_at(self, points) -> dict[str, np.ndarray]:
@@ -197,21 +196,15 @@ class UnitProbReduction:
         def both(points):
             with np.errstate(all="ignore"):
                 k = self._step(points)
-            return k["drift"], k["diffusion"]
-
-        def guard(points):
-            with np.errstate(all="ignore"):
-                det = self._det(points)["det"]
-            return np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
+                det = k["det"]
+                ok = np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
+            return ok, k["drift"], k["diffusion"]
 
         return AugmentedSde(
             dim=pr.n + pr.m,
             d=pr.d,
             labels=pr.labels,
-            drift=lambda pts: both(pts)[0],
-            diffusion=lambda pts: both(pts)[1],
             both=both,
-            guard=guard,
             origin="unit-prob",
             problem=pr,
         )
@@ -306,9 +299,9 @@ def build_unit_prob_sde(
     )
     labels = pr.labels
     red._step = expr.compile_kernel(
-        labels, {"drift": list(pr.f) + a_sym, "diffusion": list(pr.sigma) + b_sym}
+        labels,
+        {"drift": list(pr.f) + a_sym, "diffusion": list(pr.sigma) + b_sym, "det": gain_det},
     )
-    red._det = expr.compile_kernel(labels, {"det": gain_det})
     red._pieces = expr.compile_kernel(
         labels,
         {

@@ -19,6 +19,7 @@ from sdaekit.bounded import (
 from sdaekit.errors import DimensionMismatchError, MethodPreconditionError
 from sdaekit.expr import evaluate, parse
 from sdaekit.index_reduction import reduce_once
+from sdaekit.integrator import derive_seed
 from sdaekit.problem import SdaeProblem, builtin
 
 BOX = [(-2.0, 2.0), (-5.0, 5.0)]
@@ -217,3 +218,51 @@ class TestVerifyBound:
         rep = verify_bound(ens, cfg)
         assert np.nanmax(rep.empirical_p) == 0.0
         assert np.nanmax(np.abs(rep.mean_g)) <= 1e-10
+
+
+def fold_problem():
+    """h = u^3 - u + 0.3 + 2 x is nonlinear in u: Newton takes several steps,
+    and paths that reach the fold of the cubic stop converging."""
+    return SdaeProblem(
+        n=1, m=1, p=1, d=1,
+        f=[parse("u1^3 - u1 + 0.3")], sigma=[[parse("1")]],
+        g=[parse("x1")], gamma=[[parse("0")]],
+        x0=[0.0], u0_guess=[1.0],
+    )
+
+
+FOLD_CFG = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-1.0, 1.0)], b=2.0, J_raw=0.5)
+
+
+def _same_paths(a, b):
+    assert str(a.status) == str(b.status)
+    assert a.seed == b.seed
+    assert a.metadata["newton_iterations"] == b.metadata["newton_iterations"]
+    for name in ("states", "dW", "t_grid"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+
+
+class TestNewtonEngineProperties:
+    def test_chunk_size_invariance_bitwise(self):
+        pr = fold_problem()
+        e3 = run_bounded_ensemble(pr, FOLD_CFG, 0.01, 1.0, 10, 5, chunk=3)
+        e10 = run_bounded_ensemble(pr, FOLD_CFG, 0.01, 1.0, 10, 5, chunk=10)
+        statuses = {str(p.status).split("@")[0] for p in e3.paths}
+        assert statuses == {"completed", "domain-error"}  # both outcomes exercised
+        assert len({p.metadata["newton_iterations"] for p in e3.paths}) > 2
+        for a, b in zip(e3.paths, e10.paths, strict=True):
+            _same_paths(a, b)
+
+    def test_single_path_equals_ensemble_path_bitwise(self):
+        pr = fold_problem()
+        ens = run_bounded_ensemble(pr, FOLD_CFG, 0.01, 1.0, 6, 9, chunk=4)
+        for k in (0, 3, 5):
+            single = solve_bounded(pr, FOLD_CFG, 0.01, 1.0, seed=derive_seed(9, k))
+            _same_paths(single, ens.paths[k])
+
+    def test_every_bounded_path_records_newton_iterations(self, paper_cfg):
+        pr = builtin("paper-example")
+        ens = run_bounded_ensemble(pr, paper_cfg, 1e-3, 0.02, 3, 1)
+        # h is affine in u here: one update per step, then a confirming residual
+        assert [p.metadata["newton_iterations"] for p in ens.paths] == [20, 20, 20]

@@ -151,6 +151,26 @@ class TestSolve:
         assert "0.0.0-other" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_manifest_records_no_threads(self, index1_run):
+        manifest = json.loads((index1_run / "manifest.json").read_text())
+        assert "threads" not in manifest["args"]
+
+    def test_threads_flag_is_gone(self, linear_file, tmp_path):
+        rc = main(["solve", str(linear_file), "--method", "index1", "--dt", "1e-3",
+                   "--t-end", "0.05", "--threads", "2", "--out", str(tmp_path / "t")])
+        assert rc == 1
+
+    def test_rerun_of_manifest_with_threads_key(self, index1_run, tmp_path):
+        # manifests written before the flag was removed still carry the key
+        manifest_path = index1_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["args"]["threads"] = 2
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        out = tmp_path / "again"
+        assert main(["rerun", str(manifest_path), "--out", str(out)]) == 0
+        for rel in manifest["outputs"]:
+            assert (out / rel).read_bytes() == (index1_run / rel).read_bytes(), rel
+
     def test_picard_method(self, tmp_path, capsys):
         # contraction example as a file
         src = tmp_path / "c.sdae"
@@ -196,6 +216,36 @@ class TestVerifyBound:
         out = capsys.readouterr().out
         assert "satisfied" in out
         assert (out_dir / "verify_report.csv").is_file()
+
+
+    @pytest.fixture()
+    def bounded_run(self, paper_file, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main(["solve", str(paper_file), "--method", "bounded",
+                     "--epsilon", "0.5", "--alpha", "0.8", "--box=-2:2,-5:5",
+                     "--dt", "1e-3", "--t-end", "0.02", "--paths", "2", "--seed", "2",
+                     "--out", str(out_dir)]) == 0
+        return out_dir
+
+    def test_refuses_modified_problem_exit_2(self, bounded_run, capsys):
+        problem = bounded_run / "problem.sdae"
+        problem.write_text(problem.read_text().replace("0.5", "0.25"))
+        capsys.readouterr()
+        rc = main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "0.8"])
+        assert rc == 2
+        assert "problem_sha256" in capsys.readouterr().err
+        assert not (bounded_run / "verify_report.csv").exists()
+
+    def test_refuses_other_version_exit_3(self, bounded_run, capsys):
+        manifest_path = bounded_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = "0.0.0-other"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "0.8"])
+        assert rc == 3
+        assert "0.0.0-other" in capsys.readouterr().err
+        assert not (bounded_run / "verify_report.csv").exists()
 
 
 class TestBuiltin:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sdaekit.expr import (
     Variable,
     compile_expr,
     compile_kernel,
+    compile_staged,
     differentiate,
     evaluate,
     free_variables,
@@ -251,6 +253,9 @@ class TestCompile:
 # compile_kernel against per-entry compile_expr evaluation
 # ---------------------------------------------------------------------------
 
+# numpy < 1.25 has no np.exceptions
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
 KERNEL_LABELS = ("x1", "x2", "u1")
 KERNEL_LEAVES = [Variable(nm) for nm in KERNEL_LABELS] + [
     Constant(v) for v in (0.0, -0.0, 1.0, -2.0, 0.5, 3.0, 1e-3)
@@ -264,9 +269,8 @@ def shared_dags(draw):
     Nodes pick their operands from everything built so far, so subtrees are
     reused by object; deep copies add structurally equal distinct objects, and
     swaps add the mirror image of an earlier operation (b - a beside a - b).
-    Every operation has a variable below it: an all-constant operation is
-    plain Python float arithmetic in both paths, which the smart constructors
-    fold away and which can raise instead of giving nan.
+    Operations on constants alone are kept too (the constructors below do not
+    fold): they must give nan or inf, never raise or go complex.
     """
     pool = list(KERNEL_LEAVES)
 
@@ -286,8 +290,7 @@ def shared_dags(draw):
             node = pick()
             if isinstance(node, Binary):
                 node = Binary(node.op, node.right, node.left)
-        if free_variables(node):
-            pool.append(node)
+        pool.append(node)
     vector = [pick() for _ in range(draw(st.integers(1, 4)))]
     matrix = [[pick(), pick()] for _ in range(draw(st.integers(1, 3)))]
     return vector, matrix
@@ -328,12 +331,79 @@ def test_kernel_matches_per_entry_evaluation_bitwise(dag, points):
     env = {nm: pts[..., i] for i, nm in enumerate(KERNEL_LABELS)}
     batch = pts.shape[:-1]
     kernel = compile_kernel(KERNEL_LABELS, {"v": vector, "m": matrix})
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
         got = kernel(pts)
         want_v = _per_entry(vector, env, batch)
         want_m = _per_entry(matrix, env, batch)
     assert _same_bits(got["v"], want_v)  # nan and inf in the same places, same bits
     assert _same_bits(got["m"], want_m)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    dag=shared_dags(),
+    points=kernel_points,
+    fixed=st.lists(st.sampled_from(KERNEL_LABELS), unique=True),
+)
+def test_staged_kernel_matches_one_piece_kernel_bitwise(dag, points, fixed):
+    vector, matrix = dag
+    pts = np.array(points, dtype=float)
+    outputs = {"v": vector, "m": matrix}
+    prepare, finish = compile_staged(KERNEL_LABELS, fixed, outputs)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        want = compile_kernel(KERNEL_LABELS, outputs)(pts)
+        # prepare sees only the fixed columns: the others are garbage there
+        garbage = pts.copy()
+        for i, nm in enumerate(KERNEL_LABELS):
+            if nm not in fixed:
+                garbage[..., i] = np.nan
+        prepared = prepare(garbage)
+        got = finish(prepared, pts)
+        again = finish(prepared, pts)  # prepared values are reusable
+    for name in outputs:
+        assert _same_bits(got[name], want[name])
+        assert _same_bits(again[name], want[name])
+
+
+def test_staged_kernel_splits_by_fixed_labels():
+    prepare, finish = compile_staged(
+        ("x1", "u1"), ("x1",), {"h": [parse("(2 - 3*x1^2)*u1 + x1^3")]}
+    )
+    # x1^2, 3*x1^2, 2 - 3*x1^2 and x1^3 once per prepare; finish receives the
+    # two of them it needs and computes the product and the sum
+    assert sum(nm.startswith("_t") for nm in prepare.__code__.co_varnames) == 4
+    assert sum(nm.startswith("_t") for nm in finish.__code__.co_varnames) == 4
+    pts = np.array([[0.5, 2.0], [-1.0, 3.0]])
+    got = finish(prepare(pts), pts)["h"]
+    np.testing.assert_array_equal(got[:, 0], (2 - 3 * pts[:, 0] ** 2) * pts[:, 1] + pts[:, 0] ** 3)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("(-2)^0.5*x1", math.nan),
+        ("(-8)^(1/3)*x1", math.nan),
+        ("0^(-1)*x1", math.inf),
+        ("1/0*x1", math.inf),
+        ("(0/0)+x1", math.nan),
+    ],
+)
+def test_constant_only_nodes_follow_numpy(text, want):
+    e = parse(text)
+    pts = np.array([[2.0], [3.0]])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        kernel = compile_kernel(("x1",), {"v": e})(pts)["v"]
+        single = compile_expr(e)({"x1": pts[:, 0]})
+    np.testing.assert_array_equal(kernel, [want, want])
+    np.testing.assert_array_equal(single, [want, want])
+
+
+def test_kernels_without_constant_only_nodes_print_plain_operations():
+    kernel = compile_kernel(("x1",), {"v": parse("(-2)^x1 + 0.5*x1")})
+    assert "float64" not in kernel.__code__.co_names
 
 
 def test_kernel_computes_each_distinct_subtree_once():

@@ -9,6 +9,7 @@ from sdaekit.expr import parse
 from sdaekit.integrator import (
     AugmentedSde,
     PathStatus,
+    SamplePath,
     StatusKind,
     constraint_process,
     derive_seed,
@@ -190,3 +191,83 @@ def test_path_csv_format(tmp_path):
     # 17 significant digits survive a float round-trip
     cell = lines[2].split(",")[1]
     assert float(cell) == path.states[1, 0]
+
+
+def _per_cell_path_csv(path, lam, fh):
+    """The per-cell formatter write_path_csv replaced, kept as the byte reference."""
+    p = lam.shape[1]
+    header = ["t", *path.labels, *[f"lambda{i + 1}" for i in range(p)], "status"]
+    fh.write(",".join(header) + "\n")
+    status = str(path.status)
+    for k in range(len(path)):
+        cells = [f"{path.t_grid[k]:.17g}"]
+        cells += [f"{v:.17g}" for v in path.states[k]]
+        cells += [f"{v:.17g}" for v in lam[k]]
+        cells.append(status)
+        fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("rows", [1, 7, 5000])
+def test_path_csv_bytes_match_per_cell_formatter(rows):
+    import io
+
+    rng = np.random.default_rng(rows)
+    states = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 0.1]
+    flat = states.ravel()
+    flat[: len(special)] = special[: flat.size]
+    lam = rng.normal(size=(rows, 2))
+    lam[0] = [-0.0, math.nan]
+    path = SamplePath(
+        dt=0.1, t_grid=np.arange(rows) * 0.1, states=states, dW=np.zeros((rows - 1, 1)),
+        seed=1, status=PathStatus(StatusKind.DOMAIN_ERROR, rows - 1),
+        labels=("x1", "x2", "u1"),
+    )
+    want, got = io.StringIO(), io.StringIO()
+    _per_cell_path_csv(path, lam, want)
+    write_path_csv(path, lam, got)
+    assert got.getvalue() == want.getvalue()
+
+
+class TestProjection:
+    """The engine's projection hook, on dx = dW with u pinned to 2x."""
+
+    def sde(self, singular_above=None):
+        def both(points):
+            return None, np.zeros(points.shape[:-1] + (1,)), np.ones(points.shape[:-1] + (1, 1))
+
+        def project(state):
+            u = 2.0 * state[:, :1]
+            converged = np.abs(state[:, 0]) < 10.0
+            singular = np.zeros(len(state), dtype=bool)
+            if singular_above is not None:
+                singular = state[:, 0] > singular_above
+            return u, converged & ~singular, singular, np.full(len(state), 3)
+
+        return AugmentedSde(dim=2, d=1, labels=("x1", "u1"), both=both, project=project)
+
+    def test_project_fills_the_remaining_columns(self):
+        inc = wiener_increments(3, 20, 1, 0.01)
+        path = euler_maruyama(self.sde(), [0.0, 0.0], 0.01, 0.2, inc)
+        assert path.status.completed
+        np.testing.assert_array_equal(path.states[1:, 1], 2.0 * path.states[1:, 0])
+        np.testing.assert_array_equal(path.states[:, 0], np.concatenate([[0.0], np.cumsum(inc[:, 0])]))
+        assert path.metadata["newton_iterations"] == 3 * 20
+
+    def test_singular_projection_ends_the_path(self):
+        inc = np.full((10, 1), 0.1)
+        path = euler_maruyama(self.sde(singular_above=0.25), [0.0, 0.0], 0.1, 1.0, inc)
+        assert str(path.status) == "singular-reduction@2"
+        assert len(path) == 3
+        assert path.metadata["newton_iterations"] == 3 * 3
+
+    def test_unconverged_projection_is_a_domain_error(self):
+        inc = np.full((10, 1), 4.0)
+        path = euler_maruyama(self.sde(), [0.0, 0.0], 0.1, 1.0, inc)
+        assert str(path.status) == "domain-error@2"  # |x| reaches 12 at step 2
+        np.testing.assert_array_equal(path.states[-1], [8.0, 16.0])
+
+    def test_without_projection_no_iterations_are_recorded(self):
+        sde = const_sde(1, 1, [0.0], [[1.0]])
+        path = euler_maruyama(sde, [0.0], 0.1, 0.5, np.zeros((5, 1)))
+        assert "newton_iterations" not in path.metadata

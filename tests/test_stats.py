@@ -140,3 +140,44 @@ def test_report_csv_shape():
     assert len(lines) == 7  # header + 6 grid points
     cells = lines[-1].split(",")
     assert float(cells[6]) == pytest.approx(1.0 * (1 - np.exp(-2 * 2.0 * 0.5)) / 4.0)
+
+
+def _per_cell_report_csv(report, fh):
+    """The per-cell formatter write_report_csv replaced, kept as the byte reference."""
+    p = report.mean_g.shape[1]
+    header = (
+        "t,alive,P_viol,P_lo,P_hi,mean_sq_lambda,bound_curve,"
+        + ",".join(f"meanG_{j + 1}" for j in range(p))
+    )
+    fh.write(header + "\n")
+    for k in range(report.t_grid.shape[0]):
+        bound = report.bound_curve[k] if report.bound_curve is not None else float("nan")
+        cells = [
+            f"{report.t_grid[k]:.17g}",
+            str(int(report.alive[k])),
+            f"{report.empirical_p[k]:.17g}",
+            f"{report.wilson_lo[k]:.17g}",
+            f"{report.wilson_hi[k]:.17g}",
+            f"{report.mean_sq_lambda[k]:.17g}",
+            f"{bound:.17g}",
+        ]
+        cells += [f"{v:.17g}" for v in report.mean_g[k]]
+        fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("with_bound", [True, False])
+def test_report_csv_bytes_match_per_cell_formatter(with_bound):
+    pr = pin_problem()
+    sde = drifting_sde(rate=1.0, noise=0.3)
+    sde.guard = lambda x: x[:, 0] < 0.45  # staggered truncation
+    ens = run_ensemble(sde, [0.0], 0.01, 1.0, 8, base_seed=2, problem=pr)
+    kw = {"b": 2.0, "J": 1.0} if with_bound else {}
+    rep = violation_stats(pr, ens, epsilon=0.3, **kw)
+    rep.mean_g[0, 0] = -0.0
+    rep.mean_sq_lambda[1] = 1e-300
+    rep.wilson_hi[2] = np.inf
+    rep.empirical_p[3] = np.nan
+    want, got = io.StringIO(), io.StringIO()
+    _per_cell_report_csv(rep, want)
+    write_report_csv(rep, got)
+    assert got.getvalue() == want.getvalue()
