@@ -18,6 +18,9 @@ x with (f, sigma) and projects u onto h(x, u) = 0 through the engine's
 ``project`` hook, and the exact index-1 reduction of the modified problem.
 The Newton residual and D_u h come from one staged kernel: the nodes that
 depend on x alone are computed once per step, the rest once per iterate.
+With one algebraic variable (m = 1) the update is the quotient h / D_u h and
+the singular test reads D_u h itself, with no LAPACK call; m >= 2 solves with
+LAPACK.
 """
 
 from __future__ import annotations
@@ -233,14 +236,18 @@ def _newton_batch(fn, u0, tol, max_iter, det_tol):
 
     Returns (u, converged, singular, iters).  The residual of the last update
     is always evaluated, so a path counts as converged only on a confirmed
-    residual.
+    residual.  A path is singular where det(D_u res) is not finite or at most
+    ``det_tol`` in size.  For m = 1 the 1x1 entry a stands in for the
+    determinant and the update is res / a, without LAPACK: its one-column 1x1
+    solve gives the same quotient bit for bit, while its 1x1 det is
+    sign * exp(log|a|), which may differ from a in the last bits.
     """
     u = u0.copy()
     P, m = u.shape
     converged = np.zeros(P, dtype=bool)
     singular = np.zeros(P, dtype=bool)
     iters = np.zeros(P, dtype=np.int64)
-    eye = _eye(m)
+    scalar = m == 1
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             res, jac = fn(u)
@@ -251,14 +258,17 @@ def _newton_batch(fn, u0, tol, max_iter, det_tol):
             pending = ~converged & ~singular
             if not pending.any():
                 break
-            det = np.linalg.det(jac)
+            det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
             bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
             singular |= bad
             pending &= ~bad
             if not pending.any():
                 break
-            safe = np.where(pending[:, None, None], jac, eye)
-            delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
+            if scalar:
+                delta = res / det[:, None]
+            else:
+                safe = np.where(pending[:, None, None], jac, _eye(m))
+                delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
             bad_step = pending & ~np.isfinite(delta).all(axis=1)
             singular |= bad_step
             pending &= ~bad_step

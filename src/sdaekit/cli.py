@@ -4,8 +4,9 @@ Every solve writes a manifest recording the resolved flags, the problem hash
 and the base seed; `rerun` re-executes a manifest and reproduces the output
 files byte for byte.  All randomness flows from the single --seed flag.
 
-Exit codes: 0 success, 1 usage, 2 invalid problem, 3 method precondition
-failed, 4 runtime failure.
+Exit codes: 0 success, 1 usage (a malformed command line or a flag value out
+of range), 2 invalid problem, 3 method precondition failed, 4 runtime failure
+(any other error, numeric ones from inside a solver included).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,15 +58,55 @@ EXIT_OK, EXIT_USAGE, EXIT_PROBLEM, EXIT_PRECONDITION, EXIT_RUNTIME = 0, 1, 2, 3,
 # rewritten to --flag=value before argparse sees them
 _GLUED_FLAGS = ("--box", "--y-box")
 
+Box = list[tuple[float, float]]  # (lo, hi) per dimension
 
-def _parse_box(text: str) -> list[tuple[float, float]]:
+
+class _UsageError(Exception):
+    """A flag value the command cannot use (exit code 1)."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _UsageError(message)
+
+
+def _parse_box(text: str, dims: int, flag: str = "--box") -> Box:
+    """``lo:hi`` per dimension, comma separated: ``dims`` finite intervals."""
     out = []
     for part in text.split(","):
         lo, sep, hi = part.partition(":")
-        if not sep:
-            raise ValueError(f"box component '{part}' is not lo:hi")
-        out.append((float(lo), float(hi)))
+        try:
+            bounds = (float(lo), float(hi))
+        except ValueError:
+            bounds = None
+        _require(
+            bool(sep) and bounds is not None and all(map(math.isfinite, bounds))
+            and bounds[0] <= bounds[1],
+            f"{flag} component '{part}' is not lo:hi with finite lo <= hi",
+        )
+        out.append(bounds)
+    _require(len(out) == dims, f"{flag} has {len(out)} component(s); this problem needs {dims}")
     return out
+
+
+def _check_epsilon_alpha(epsilon: float | None, alpha: float | None) -> None:
+    if epsilon is not None:
+        _require(math.isfinite(epsilon) and epsilon > 0,
+                 f"--epsilon must be positive, got {epsilon:g}")
+    if alpha is not None:
+        _require(0 < alpha <= 1, f"--alpha must lie in (0, 1], got {alpha:g}")
+
+
+def _check_solve_flags(args) -> None:
+    """Refuse out-of-range solve flags before any work is done."""
+    _require(math.isfinite(args.dt) and args.dt > 0, f"--dt must be positive, got {args.dt:g}")
+    _require(math.isfinite(args.t_end) and args.t_end > 0,
+             f"--t-end must be positive, got {args.t_end:g}")
+    _require(args.paths >= 1, f"--paths must be at least 1, got {args.paths}")
+    _require(args.save_paths >= 0, f"--save-paths must be at least 0, got {args.save_paths}")
+    _require(args.grid >= 1, f"--grid must be at least 1, got {args.grid}")
+    _require(args.y_grid >= 1, f"--y-grid must be at least 1, got {args.y_grid}")
+    _check_epsilon_alpha(args.epsilon, args.alpha)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,8 +206,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require(args.grid >= 1, f"--grid must be at least 1, got {args.grid}")
+    _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
     pr = _load(args.file)
-    box = _parse_box(args.box)
+    box = _parse_box(args.box, pr.n + pr.m if args.contraction else pr.n)
     if args.contraction:
         report = check_contraction(pr, box, grid_per_dim=args.grid,
                                    sample_pairs=args.pairs, norm=args.norm)
@@ -224,7 +268,18 @@ def _read_characteristic(args, pr: SdaeProblem) -> CharacteristicSpec:
     return CharacteristicSpec(y=[parse_expr(ln) for ln in lines], epsilon=args.epsilon)
 
 
-def _solve_ensemble(pr: SdaeProblem, args) -> tuple[Ensemble, dict]:
+def _solve_boxes(pr: SdaeProblem, args) -> tuple[Box | None, Box | None]:
+    """The boxes the method reads: bounded's --box (x, plus u where sigma
+    reads u) and unit-prob's --y-box (u)."""
+    box = y_box = None
+    if args.method == "bounded" and args.box:
+        box = _parse_box(args.box, pr.n + pr.m if pr.sigma_references_u() else pr.n)
+    if args.method == "unit-prob" and args.y_box:
+        y_box = _parse_box(args.y_box, pr.m, "--y-box")
+    return box, y_box
+
+
+def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -> tuple[Ensemble, dict]:
     info: dict = {}
     if args.method == "index1":
         sde = build_index1_sde(pr)
@@ -241,7 +296,6 @@ def _solve_ensemble(pr: SdaeProblem, args) -> tuple[Ensemble, dict]:
                        base_seed=args.seed, problem=pr)
     elif args.method == "unit-prob":
         spec = _read_characteristic(args, pr)
-        y_box = _parse_box(args.y_box) if args.y_box else None
         red = build_unit_prob_sde(pr, spec, box=y_box, grid_per_dim=args.y_grid)
         u0 = consistent_init(spec, pr)
         init = np.concatenate([pr.x0, u0])
@@ -254,7 +308,7 @@ def _solve_ensemble(pr: SdaeProblem, args) -> tuple[Ensemble, dict]:
                 "--epsilon, --alpha and --box are required for bounded"
             )
         cfg = BoundedMConfig(
-            epsilon=args.epsilon, alpha=args.alpha, box=_parse_box(args.box),
+            epsilon=args.epsilon, alpha=args.alpha, box=box,
             grid_per_dim=args.grid, b=args.b,
         )
         cfg = resolve_config(pr, cfg)
@@ -278,10 +332,12 @@ _MANIFEST_KEYS = (
 
 
 def _cmd_solve(args) -> int:
+    _check_solve_flags(args)
     pr = _load(args.file)
+    box, y_box = _solve_boxes(pr, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ens, info = _solve_ensemble(pr, args)
+    ens, info = _solve_ensemble(pr, args, box, y_box)
 
     canonical = print_problem(pr)
     (out_dir / "problem.sdae").write_text(canonical, encoding="utf-8")
@@ -330,6 +386,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
+    _check_epsilon_alpha(args.epsilon, args.alpha)
     run_dir = Path(args.dir)
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     stored = manifest["args"]
@@ -342,7 +399,7 @@ def _cmd_verify_bound(args) -> int:
     _check_run_inputs(manifest, Path(ns.file))
     pr = _load(ns.file)
     cfg = BoundedMConfig(
-        epsilon=args.epsilon, alpha=args.alpha, box=_parse_box(ns.box),
+        epsilon=args.epsilon, alpha=args.alpha, box=_solve_boxes(pr, ns)[0],
         grid_per_dim=ns.grid, b=ns.b,
     )
     cfg = resolve_config(pr, cfg)
@@ -441,9 +498,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _DISPATCH[args.subcommand](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROBLEM if isinstance(exc, FileNotFoundError) else EXIT_USAGE
+        return EXIT_PROBLEM if isinstance(exc, FileNotFoundError) else EXIT_RUNTIME
     except _ProblemLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROBLEM

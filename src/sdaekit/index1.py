@@ -12,6 +12,14 @@ At runtime both are assembled per evaluation point through a batched m-by-m
 linear solve; closed-form symbolic entries (cofactor inverse) are exposed for
 inspection when m <= 2.  A runtime determinant guard stands in for the
 "bounded inverse in a neighbourhood" hypothesis.
+
+A Hessian block of a row of g whose entries are all the constant 0 (D2_uu g_i
+when g_i is affine in u, D2_xu g_i without x-u products) is structurally zero:
+it is left out of the coefficient kernel and its trace term is not computed.
+That term would be exactly +0.0, because einsum sums from +0.0, and adding
++0.0 to a trace that is never -0.0 changes no bit.  Only where B is +-inf or
+nan would the full sum differ (nan, from inf * 0); B then sits in the
+diffusion, so the step is non-finite either way.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ __all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "sol
 # the shared Ito correction pattern: sum_{k,l,j} A_{kj} H_{kl} C_{lj}
 _TRACE = "...kj,...kl,...lj->..."
 
+# kernel key prefixes of the Hessian blocks of a row, in the order the trace adds them
+_BLOCKS = ("hxx", "huu", "hxu")
+
 
 @dataclass
 class Index1Reduction:
@@ -48,24 +59,33 @@ class Index1Reduction:
 
     # kernel built by build_index1_reduction: every coefficient piece at once
     _pieces: Callable = field(repr=False, default=None)
+    # per row of g, the kernel keys of its Hessian blocks that are not
+    # structurally zero, in _BLOCKS order
+    _blocks: list[tuple[str, ...]] = field(repr=False, default_factory=list)
+    _eye: np.ndarray = field(repr=False, default=None)
 
     def _pieces_at(self, points) -> dict[str, np.ndarray]:
         with np.errstate(all="ignore"):
             return self._pieces(points)
 
+    def _trace(self, k: dict[str, np.ndarray], B: np.ndarray) -> np.ndarray:
+        """Per-row Ito traces, shape (..., p); zero for a row without blocks."""
+        trace = np.zeros(B.shape[:-2] + (self.problem.p,))
+        for i, keys in enumerate(self._blocks):
+            if keys:
+                trace[..., i] = _ito_trace(k, keys, B)
+        return trace
+
     def _solve(self, k: dict[str, np.ndarray]):
         """(a, B, det D_u g) from the evaluated pieces."""
-        pr = self.problem
         dxg, dug, sig, f = k["dxg"], k["dug"], k["sigma"], k["f"]
         with np.errstate(all="ignore"):
             det = np.linalg.det(dug)
             rhs_b = -(dxg @ sig + k["gamma"])
             ok = np.abs(det) > self.singular_guard
-            safe_dug = np.where(ok[..., None, None], dug, np.eye(pr.m))
+            safe_dug = np.where(ok[..., None, None], dug, self._eye)
             B = np.linalg.solve(safe_dug, rhs_b)
-            trace = np.empty(det.shape + (pr.p,))
-            for i in range(pr.p):
-                trace[..., i] = _ito_trace(k, i, B)
+            trace = self._trace(k, B)
             rhs_a = -((dxg @ f[..., None])[..., 0] + 0.5 * trace)
             a = np.linalg.solve(safe_dug, rhs_a[..., None])[..., 0]
             a = np.where(ok[..., None], a, np.nan)
@@ -84,13 +104,13 @@ class Index1Reduction:
 
     def drift_residual(self, points: np.ndarray) -> np.ndarray:
         """Drift half of the constraint differential; zero wherever a is defined."""
-        pr = self.problem
         k = self._pieces_at(points)
         a, B, _ = self._solve(k)
-        out = np.empty(a.shape[:-1] + (pr.p,))
-        for i in range(pr.p):
-            out[..., i] = 0.5 * _ito_trace(k, i, B)
-        return out + (k["dxg"] @ k["f"][..., None])[..., 0] + (k["dug"] @ a[..., None])[..., 0]
+        return (
+            0.5 * self._trace(k, B)
+            + (k["dxg"] @ k["f"][..., None])[..., 0]
+            + (k["dug"] @ a[..., None])[..., 0]
+        )
 
     def sde(self) -> AugmentedSde:
         """The reduced SDE; its guard reuses the det(D_u g) of the solve."""
@@ -115,14 +135,27 @@ class Index1Reduction:
         )
 
 
-def _ito_trace(k: dict[str, np.ndarray], i: int, B: np.ndarray) -> np.ndarray:
-    """Tr(sigma D2_xx g_i sigma' + B D2_uu g_i B' + 2 sigma D2_xu g_i B')."""
+def _ito_trace(k: dict[str, np.ndarray], keys: tuple[str, ...], B: np.ndarray) -> np.ndarray:
+    """Tr(sigma D2_xx g_i sigma' + B D2_uu g_i B' + 2 sigma D2_xu g_i B').
+
+    Only the blocks named in ``keys`` (a non-empty subset of row i's blocks,
+    in _BLOCKS order) are summed, left to right as in the full formula.
+    """
     sig = k["sigma"]
-    return (
-        np.einsum(_TRACE, sig, k["hxx"][..., i, :, :], sig)
-        + np.einsum(_TRACE, B, k["huu"][..., i, :, :], B)
-        + 2.0 * np.einsum(_TRACE, sig, k["hxu"][..., i, :, :], B)
-    )
+    outer = {"hxx": (sig, sig), "huu": (B, B), "hxu": (sig, B)}
+    total = None
+    for key in keys:
+        left, right = outer[key[:3]]
+        term = np.einsum(_TRACE, left, k[key], right)
+        if key.startswith("hxu"):
+            term = 2.0 * term
+        total = term if total is None else total + term
+    return total
+
+
+def _structurally_zero(block: list[list[expr.Expression]]) -> bool:
+    """Every entry is the constant 0, so the block's trace term is exactly +0.0."""
+    return all(isinstance(e, expr.Constant) and e.value == 0.0 for row in block for e in row)
 
 
 def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Index1Reduction:
@@ -142,15 +175,17 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
     dug_sym = expr.jacobian(pr.g, u_l)
 
     red = Index1Reduction(problem=pr, a_symbolic=None, b_symbolic=None, singular_guard=guard)
-    red._pieces = expr.compile_kernel(
-        pr.labels,
-        {
-            "f": pr.f, "sigma": pr.sigma, "gamma": pr.gamma, "dxg": dxg_sym, "dug": dug_sym,
-            "hxx": [expr.hessian(gi, x_l, x_l) for gi in pr.g],
-            "huu": [expr.hessian(gi, u_l, u_l) for gi in pr.g],
-            "hxu": [expr.hessian(gi, x_l, u_l) for gi in pr.g],
-        },
-    )
+    outputs = {"f": pr.f, "sigma": pr.sigma, "gamma": pr.gamma, "dxg": dxg_sym, "dug": dug_sym}
+    for i, gi in enumerate(pr.g):
+        keys = []
+        for kind, names_a, names_b in zip(_BLOCKS, (x_l, u_l, x_l), (x_l, u_l, u_l)):
+            block = expr.hessian(gi, names_a, names_b)
+            if not _structurally_zero(block):
+                keys.append(f"{kind}{i}")
+                outputs[keys[-1]] = block
+        red._blocks.append(tuple(keys))
+    red._pieces = expr.compile_kernel(pr.labels, outputs)
+    red._eye = np.eye(pr.m)
 
     if pr.m <= 2:
         inv = _symlin.inverse(dug_sym)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import bisect_root, random_points
 from sdaekit.bounded import (
+    _newton_batch,
     BoundedMConfig,
     SolveMode,
     build_bounded_constraint,
@@ -20,7 +24,7 @@ from sdaekit.errors import DimensionMismatchError, MethodPreconditionError
 from sdaekit.expr import evaluate, parse
 from sdaekit.index_reduction import reduce_once
 from sdaekit.integrator import derive_seed
-from sdaekit.problem import SdaeProblem, builtin
+from sdaekit.problem import SINGULAR_TOL, SdaeProblem, builtin
 
 BOX = [(-2.0, 2.0), (-5.0, 5.0)]
 
@@ -266,3 +270,72 @@ class TestNewtonEngineProperties:
         ens = run_bounded_ensemble(pr, paper_cfg, 1e-3, 0.02, 3, 1)
         # h is affine in u here: one update per step, then a confirming residual
         assert [p.metadata["newton_iterations"] for p in ens.paths] == [20, 20, 20]
+
+
+def newton_batch_lapack(fn, u0, tol, max_iter, det_tol):
+    """The Newton loop with LAPACK det and solve for every m, as _newton_batch
+    runs it for m >= 2: the reference for its m = 1 branch."""
+    u = u0.copy()
+    P, m = u.shape
+    converged = np.zeros(P, dtype=bool)
+    singular = np.zeros(P, dtype=bool)
+    iters = np.zeros(P, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            res, jac = fn(u)
+            resn = np.abs(res).max(axis=1)
+            pending = ~converged & ~singular
+            finite = np.isfinite(resn)
+            converged |= pending & finite & (resn <= tol)
+            pending = ~converged & ~singular
+            if not pending.any():
+                break
+            det = np.linalg.det(jac)
+            bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
+            singular |= bad
+            pending &= ~bad
+            if not pending.any():
+                break
+            safe = np.where(pending[:, None, None], jac, np.eye(m))
+            delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
+            bad_step = pending & ~np.isfinite(delta).all(axis=1)
+            singular |= bad_step
+            pending &= ~bad_step
+            u = np.where(pending[:, None], u - delta, u)
+            iters += pending
+    return u, converged, singular, iters
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda t: t[0] * t[1])
+
+
+# 0, +-inf and nan; |v| on both sides of SINGULAR_TOL, but outside the relative
+# 1e-13 band where LAPACK's 1x1 det = sign * exp(log|a|) and a may round apart
+_newton_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    _signed(st.floats(-4.0, 4.0).map(lambda e: SINGULAR_TOL * 10.0**e)),
+    st.floats(-1e300, 1e300),
+).filter(lambda v: not np.isfinite(v) or abs(abs(v) / SINGULAR_TOL - 1.0) > 1e-13)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_scalar_newton_branch_equals_lapack_branch_bitwise(data):
+    P = data.draw(st.integers(1, 6))
+    m = data.draw(st.sampled_from([1, 1, 1, 2]))  # m = 2 runs LAPACK in both
+    max_iter = data.draw(st.integers(1, 4))
+    res_seq = data.draw(arrays(np.float64, (max_iter, P, m), elements=_newton_values))
+    jac_seq = data.draw(arrays(np.float64, (max_iter, P, m, m), elements=_newton_values))
+    u0 = data.draw(arrays(np.float64, (P, m), elements=_newton_values))
+    tol = data.draw(st.sampled_from([1e-10, 1e-6]))
+
+    def replay():  # call i of fn returns the i-th drawn (res, jac) batch
+        calls = iter(zip(res_seq, jac_seq))
+        return lambda u: next(calls)
+
+    got = _newton_batch(replay(), u0, tol, max_iter, SINGULAR_TOL)
+    want = newton_batch_lapack(replay(), u0, tol, max_iter, SINGULAR_TOL)
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:], want[1:], strict=True):
+        assert np.array_equal(a, b)

@@ -61,6 +61,12 @@ class TestCheck:
     def test_bad_box_usage(self, paper_file):
         assert main(["check", str(paper_file), "--box", "oops"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--grid", "0"], ["--pairs", "0"], ["--box=-1:1"]],
+                             ids=" ".join)
+    def test_out_of_range_contraction_flag_exit_1(self, linear_file, flags):
+        argv = ["check", str(linear_file), "--box=-1:1,-1:1", "--contraction"]
+        assert main(argv + flags) == 1
+
 
 class TestReduce:
     def test_paper_example_rows_printed(self, paper_file, capsys):
@@ -197,6 +203,47 @@ class TestSolve:
                    "--out", str(tmp_path / "u")])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"],
+        ["--dt", "nan"],
+        ["--t-end", "-1"],
+        ["--paths", "0"],
+        ["--save-paths", "-1"],
+        ["--epsilon", "0"],
+        ["--alpha", "2"],
+        ["--alpha", "0"],
+        ["--grid", "0"],
+        ["--y-grid", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_exit_1(self, linear_file, tmp_path, capsys, flags):
+        argv = ["solve", str(linear_file), "--method", "index1",
+                "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")]
+        rc = main(argv + flags)
+        assert rc == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("box", ["-2:2", "-2:2,5:-5", "-2:2,-5:inf", "-2:2,-5:5,0:1"])
+    def test_bad_bounded_box_exit_1(self, paper_file, tmp_path, box):
+        rc = main(["solve", str(paper_file), "--method", "bounded",
+                   "--epsilon", "0.5", "--alpha", "0.8", f"--box={box}",
+                   "--dt", "1e-3", "--t-end", "0.02", "--out", str(tmp_path / "o")])
+        assert rc == 1
+
+    def test_solver_linalg_error_exit_4(self, linear_file, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        from sdaekit import cli
+
+        def singular(pr):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "build_index1_sde", singular)
+        rc = main(["solve", str(linear_file), "--method", "index1",
+                   "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "Singular matrix" in capsys.readouterr().err
+
     def test_missing_required_flags_exit_3(self, paper_file, tmp_path):
         rc = main(["solve", str(paper_file), "--method", "bounded",
                    "--dt", "1e-3", "--t-end", "0.1", "--out", str(tmp_path / "z")])
@@ -234,6 +281,10 @@ class TestVerifyBound:
         rc = main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "0.8"])
         assert rc == 2
         assert "problem_sha256" in capsys.readouterr().err
+        assert not (bounded_run / "verify_report.csv").exists()
+
+    def test_out_of_range_alpha_exit_1(self, bounded_run):
+        assert main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "2"]) == 1
         assert not (bounded_run / "verify_report.csv").exists()
 
     def test_refuses_other_version_exit_3(self, bounded_run, capsys):

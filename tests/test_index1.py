@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import random_points
 from sdaekit.errors import (
@@ -9,7 +12,7 @@ from sdaekit.errors import (
     MethodPreconditionError,
     SingularReductionError,
 )
-from sdaekit.expr import evaluate, parse
+from sdaekit.expr import compile_kernel, evaluate, hessian, parse
 from sdaekit.index1 import build_index1_reduction, build_index1_sde, solve_index1
 from sdaekit.integrator import euler_maruyama, wiener_increments
 from sdaekit.problem import SdaeProblem, builtin
@@ -46,11 +49,27 @@ def contraction_example():
     )
 
 
+def curved_u_problem():
+    # g has u^2 and x*u terms, so the B D2_uu g B' and sigma D2_xu g B' traces
+    # are non-zero; the first row is affine in x and the second has no x*u
+    # term, so their D2_xx and D2_xu blocks are skipped
+    return SdaeProblem(
+        n=2, m=2, p=2, d=2,
+        f=[parse("x2 + u1"), parse("-x1 + u2*x2")],
+        sigma=[[parse("0.2 + 0.1*x2"), parse("0")], [parse("0.1*u1"), parse("0.3")]],
+        g=[parse("u1 + 0.1*u1^2 + 0.2*x1*u2 - x1"), parse("u2 + 0.05*u2^2 - 0.3*sin(x2)")],
+        gamma=[[parse("0.05"), parse("0")], [parse("0"), parse("0.1")]],
+        x0=[0.0, 0.0], u0_guess=[0.0, 0.0],
+        name="curved-u",
+    )
+
+
 INDEX1_PROBLEMS = [
     builtin("linear-index1"),
     pinned_u_problem(),
     mixed_2d_problem(),
     contraction_example(),
+    curved_u_problem(),
 ]
 
 
@@ -67,6 +86,98 @@ class TestSymbolicForms:
         for pt in random_points({"x1", "u1"}, 20, -2, 2, seed=5):
             assert evaluate(red.b_symbolic[0][0], pt) == 0.0
             assert evaluate(red.a_symbolic[0], pt) == 0.0
+
+    def test_curved_u_matches_symbolic_forms(self):
+        # the symbolic a and B carry every trace term, each written out by hand
+        pr = curved_u_problem()
+        red = build_index1_reduction(pr)
+        pts = np.random.default_rng(6).uniform(-1, 1, size=(50, pr.n + pr.m))
+        a, B, _ = red.coefficients(pts)
+        for row, pt in enumerate(pts):
+            env = dict(zip(pr.labels, pt))
+            for i in range(pr.m):
+                want = evaluate(red.a_symbolic[i], env)
+                assert a[row, i] == pytest.approx(want, rel=1e-12, abs=1e-14)
+                for j in range(pr.d):
+                    want = evaluate(red.b_symbolic[i][j], env)
+                    assert B[row, i, j] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+_TRACE = "...kj,...kl,...lj->..."
+
+
+def full_trace_reference(pr, points, B):
+    """Tr(sigma D2_xx g_i sigma' + B D2_uu g_i B' + 2 sigma D2_xu g_i B') over
+    every Hessian block, zero or not: six einsum calls for two rows."""
+    x_l, u_l = pr.x_labels, pr.u_labels
+    k = compile_kernel(pr.labels, {
+        "sigma": pr.sigma,
+        "hxx": [hessian(gi, x_l, x_l) for gi in pr.g],
+        "huu": [hessian(gi, u_l, u_l) for gi in pr.g],
+        "hxu": [hessian(gi, x_l, u_l) for gi in pr.g],
+    })(points)
+    sig = k["sigma"]
+    out = np.empty(points.shape[:-1] + (pr.p,))
+    for i in range(pr.p):
+        out[..., i] = (
+            np.einsum(_TRACE, sig, k["hxx"][..., i, :, :], sig)
+            + np.einsum(_TRACE, B, k["huu"][..., i, :, :], B)
+            + 2.0 * np.einsum(_TRACE, sig, k["hxu"][..., i, :, :], B)
+        )
+    return out
+
+
+@st.composite
+def mixed_block_problems(draw):
+    """Index-1 problems whose rows each have a random subset of non-zero
+    D2_xx, D2_uu and D2_xu blocks; D_u g stays near the identity on [-1, 1]."""
+    n, m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    xs = [f"x{i + 1}" for i in range(n)]
+    us = [f"u{i + 1}" for i in range(m)]
+    coef = st.sampled_from(["0.1", "-0.1", "0.05", "-0.07"])
+    g = []
+    for i in range(m):
+        text = f"u{i + 1} - 0.3*{draw(st.sampled_from(xs))}"
+        if draw(st.booleans()):
+            xx = draw(st.sampled_from([f"{a}*{b}" for a in xs for b in xs] + [f"sin({a})" for a in xs]))
+            text += f" + ({draw(coef)})*{xx}"
+        if draw(st.booleans()):
+            uu = draw(st.sampled_from([f"{a}*{b}" for a in us for b in us] + [f"{a}^3" for a in us]))
+            text += f" + ({draw(coef)})*{uu}"
+        if draw(st.booleans()):
+            text += f" + ({draw(coef)})*{draw(st.sampled_from(xs))}*{draw(st.sampled_from(us))}"
+        g.append(parse(text))
+    entry = st.sampled_from(["0", "0.2", "-0.3", "0.1*x1", "-0.2*u1", "0.1*cos(x1)"])
+    return SdaeProblem(
+        n=n, m=m, p=m, d=d,
+        f=[parse(draw(st.sampled_from(["1", *xs, *us]))) for _ in range(n)],
+        sigma=[[parse(draw(entry)) for _ in range(d)] for _ in range(n)],
+        g=g,
+        gamma=[[parse(draw(st.sampled_from(["0", "0.05"]))) for _ in range(d)] for _ in range(m)],
+        x0=[0.0] * n, u0_guess=[0.0] * m,
+    )
+
+
+class TestStructuralZeroBlocks:
+    def test_zero_blocks_left_out_of_the_kernel(self):
+        assert build_index1_reduction(mixed_2d_problem())._blocks == [("hxx0",), ("hxx1",)]
+        assert build_index1_reduction(pinned_u_problem())._blocks == [()]
+        assert build_index1_reduction(curved_u_problem())._blocks == [
+            ("huu0", "hxu0"), ("hxx1", "huu1")
+        ]
+        k = build_index1_reduction(mixed_2d_problem())._pieces(np.zeros((3, 4)))
+        assert sorted(k) == ["dug", "dxg", "f", "gamma", "hxx0", "hxx1", "sigma"]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_skipped_trace_equals_full_trace_bitwise(self, data):
+        pr = data.draw(mixed_block_problems())
+        red = build_index1_reduction(pr)
+        pts = data.draw(arrays(np.float64, (5, pr.n + pr.m), elements=st.floats(-1, 1)))
+        k = red._pieces_at(pts)
+        _, B, _ = red._solve(k)
+        assert np.isfinite(B).all()
+        assert red._trace(k, B).tobytes() == full_trace_reference(pr, pts, B).tobytes()
 
 
 class TestAnnihilationIdentities:
