@@ -42,6 +42,20 @@ def scale(a: SymMatrix, s: Expression) -> SymMatrix:
     return [[mul(s, x) for x in row] for row in a]
 
 
+def quad_trace(left: SymMatrix, h: SymMatrix, right: SymMatrix) -> Expression:
+    """The Ito-trace pattern sum_j sum_k sum_l left[k][j] h[k][l] right[l][j].
+
+    One add chain from 0 in (j, k, l) order, so every caller builds the
+    same expression tree for the same sum.
+    """
+    acc: Expression = Constant(0.0)
+    for j in range(len(left[0]) if left else 0):
+        for k in range(len(left)):
+            for l in range(len(right)):
+                acc = add(acc, mul(mul(left[k][j], h[k][l]), right[l][j]))
+    return acc
+
+
 def _minor(a: SymMatrix, i: int, j: int) -> SymMatrix:
     return [[x for cj, x in enumerate(row) if cj != j] for ri, row in enumerate(a) if ri != i]
 

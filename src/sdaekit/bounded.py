@@ -26,7 +26,6 @@ LAPACK.
 from __future__ import annotations
 
 import enum
-import functools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -46,6 +45,7 @@ from .integrator import (
     AugmentedSde,
     Ensemble,
     SamplePath,
+    _newton_batch,
     constraint_process,
     euler_maruyama,
     n_steps,
@@ -121,13 +121,13 @@ def sup_trace(
             f"box must cover {want} dimensions "
             f"({'x and u' if u_dependent else 'x only'})"
         )
-    labels = pr.labels[:want]
-    dg = expr.CompiledMatrix(expr.jacobian(pr.g, pr.x_labels))
-    sig = expr.CompiledMatrix(pr.sigma)
+    kernel = expr.compile_kernel(
+        pr.labels[:want], {"dg": expr.jacobian(pr.g, pr.x_labels), "sigma": pr.sigma}
+    )
 
     def trace_at(pts: np.ndarray) -> np.ndarray:
-        env = expr.make_env(labels, pts)
-        A = dg(env, (pts.shape[0],)) @ sig(env, (pts.shape[0],))
+        k = kernel(pts)
+        A = k["dg"] @ k["sigma"]
         if A.size == 0:
             return np.zeros(pts.shape[0])
         return (A**2).reshape(pts.shape[0], -1).sum(axis=1)
@@ -223,60 +223,6 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _eye(m: int) -> np.ndarray:
-    """Read-only identity, shared by every Newton solve of size m."""
-    eye = np.eye(m)
-    eye.flags.writeable = False
-    return eye
-
-
-def _newton_batch(fn, u0, tol, max_iter, det_tol):
-    """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
-
-    Returns (u, converged, singular, iters).  The residual of the last update
-    is always evaluated, so a path counts as converged only on a confirmed
-    residual.  A path is singular where det(D_u res) is not finite or at most
-    ``det_tol`` in size.  For m = 1 the 1x1 entry a stands in for the
-    determinant and the update is res / a, without LAPACK: its one-column 1x1
-    solve gives the same quotient bit for bit, while its 1x1 det is
-    sign * exp(log|a|), which may differ from a in the last bits.
-    """
-    u = u0.copy()
-    P, m = u.shape
-    converged = np.zeros(P, dtype=bool)
-    singular = np.zeros(P, dtype=bool)
-    iters = np.zeros(P, dtype=np.int64)
-    scalar = m == 1
-    with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            res, jac = fn(u)
-            resn = np.abs(res).max(axis=1)
-            pending = ~converged & ~singular
-            finite = np.isfinite(resn)
-            converged |= pending & finite & (resn <= tol)
-            pending = ~converged & ~singular
-            if not pending.any():
-                break
-            det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
-            bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
-            singular |= bad
-            pending &= ~bad
-            if not pending.any():
-                break
-            if scalar:
-                delta = res / det[:, None]
-            else:
-                safe = np.where(pending[:, None, None], jac, _eye(m))
-                delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
-            bad_step = pending & ~np.isfinite(delta).all(axis=1)
-            singular |= bad_step
-            pending &= ~bad_step
-            u = np.where(pending[:, None], u - delta, u)
-            iters += pending
-    return u, converged, singular, iters
-
-
 def _h_system(h_pr: SdaeProblem):
     """``state -> fn`` with ``fn(u) = (h, D_u h)`` at the state's x columns.
 
@@ -318,14 +264,6 @@ def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarra
     return u[0]
 
 
-def _reduced_index1_problem(h_pr: SdaeProblem, u0: np.ndarray) -> SdaeProblem:
-    return SdaeProblem(
-        n=h_pr.n, m=h_pr.m, p=h_pr.p, d=h_pr.d,
-        f=h_pr.f, sigma=h_pr.sigma, g=h_pr.g, gamma=h_pr.gamma,
-        x0=h_pr.x0, u0_guess=u0, name=h_pr.name,
-    )
-
-
 def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem, newton_tol: float) -> AugmentedSde:
     """x steps with (f, sigma); u is projected onto h(x, u) = 0 by Newton."""
     coeff = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
@@ -352,7 +290,7 @@ def _stabilised_sde(
     h_pr = build_bounded_constraint(pr, cfg.b)
     u0 = _initial_algebraic_value(h_pr, newton_tol)
     if mode is SolveMode.LEMMA1_REDUCTION:
-        sde = build_index1_sde(_reduced_index1_problem(h_pr, u0))
+        sde = build_index1_sde(replace(h_pr, u0_guess=u0))
     else:
         sde = _newton_sde(pr, h_pr, newton_tol)
     return sde, np.concatenate([pr.x0, u0])

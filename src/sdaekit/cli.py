@@ -26,7 +26,6 @@ from .bounded import (
     BoundedMConfig,
     SolveMode,
     gain_threshold,
-    resolve_config,
     run_bounded_ensemble,
 )
 from .errors import (
@@ -107,6 +106,10 @@ def _check_solve_flags(args) -> None:
     _require(args.grid >= 1, f"--grid must be at least 1, got {args.grid}")
     _require(args.y_grid >= 1, f"--y-grid must be at least 1, got {args.y_grid}")
     _check_epsilon_alpha(args.epsilon, args.alpha)
+    if args.b is not None:
+        _require(math.isfinite(args.b) and args.b > 0, f"--b must be positive, got {args.b:g}")
+    _require(args.iterations >= 1, f"--iterations must be at least 1, got {args.iterations}")
+    _require(math.isfinite(args.tol) and args.tol > 0, f"--tol must be positive, got {args.tol:g}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,6 +285,7 @@ def _solve_boxes(pr: SdaeProblem, args) -> tuple[Box | None, Box | None]:
 def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -> tuple[Ensemble, dict]:
     info: dict = {}
     if args.method == "index1":
+        pr.require_consistent_init()
         sde = build_index1_sde(pr)
         ens = run_ensemble(sde, pr.init_point(), args.dt, args.t_end,
                            args.paths, args.seed, problem=pr)
@@ -311,9 +315,9 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
             epsilon=args.epsilon, alpha=args.alpha, box=box,
             grid_per_dim=args.grid, b=args.b,
         )
-        cfg = resolve_config(pr, cfg)
         ens = run_bounded_ensemble(pr, cfg, args.dt, args.t_end, args.paths,
                                    args.seed, SolveMode(args.mode))
+        cfg = ens.meta["config"]
         info.update(
             epsilon=cfg.epsilon,
             b=cfg.b,
@@ -402,9 +406,9 @@ def _cmd_verify_bound(args) -> int:
         epsilon=args.epsilon, alpha=args.alpha, box=_solve_boxes(pr, ns)[0],
         grid_per_dim=ns.grid, b=ns.b,
     )
-    cfg = resolve_config(pr, cfg)
     ens = run_bounded_ensemble(pr, cfg, ns.dt, ns.t_end, ns.paths,
                                manifest["base_seed"], SolveMode(ns.mode))
+    cfg = ens.meta["config"]
     report = violation_stats(pr, ens, args.epsilon, b=cfg.b, J=cfg.J_raw)
     with open(run_dir / "verify_report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(report, fh)

@@ -22,6 +22,12 @@ variables while holding the others fixed uses the staged form
 variables once, ``finish`` the rest per iterate, with the same bits.
 Operations on constants alone also run through numpy, so out-of-domain
 constants give nan or inf like any other node.
+
+Every vectorised evaluation in the package goes through these two
+generators.  The older environment-dict API (:func:`make_env` with
+:class:`CompiledVector` / :class:`CompiledMatrix`) is kept public, with the
+same signatures and bits, only as a shim for outside callers; nothing in the
+package calls it.
 """
 
 from __future__ import annotations

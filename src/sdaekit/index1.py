@@ -35,8 +35,8 @@ from .errors import (
     MethodPreconditionError,
     SingularReductionError,
 )
-from .integrator import AugmentedSde, SamplePath, euler_maruyama, wiener_increments, n_steps
-from .problem import CONSISTENCY_TOL, SINGULAR_TOL, ProblemKind, SdaeProblem, classify
+from .integrator import AugmentedSde, SamplePath, _eye, euler_maruyama, n_steps, wiener_increments
+from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
 
 __all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "solve_index1"]
 
@@ -62,7 +62,6 @@ class Index1Reduction:
     # per row of g, the kernel keys of its Hessian blocks that are not
     # structurally zero, in _BLOCKS order
     _blocks: list[tuple[str, ...]] = field(repr=False, default_factory=list)
-    _eye: np.ndarray = field(repr=False, default=None)
 
     def _pieces_at(self, points) -> dict[str, np.ndarray]:
         with np.errstate(all="ignore"):
@@ -83,7 +82,7 @@ class Index1Reduction:
             det = np.linalg.det(dug)
             rhs_b = -(dxg @ sig + k["gamma"])
             ok = np.abs(det) > self.singular_guard
-            safe_dug = np.where(ok[..., None, None], dug, self._eye)
+            safe_dug = np.where(ok[..., None, None], dug, _eye(self.problem.m))
             B = np.linalg.solve(safe_dug, rhs_b)
             trace = self._trace(k, B)
             rhs_a = -((dxg @ f[..., None])[..., 0] + 0.5 * trace)
@@ -185,7 +184,6 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
                 outputs[keys[-1]] = block
         red._blocks.append(tuple(keys))
     red._pieces = expr.compile_kernel(pr.labels, outputs)
-    red._eye = np.eye(pr.m)
 
     if pr.m <= 2:
         inv = _symlin.inverse(dug_sym)
@@ -197,25 +195,12 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
         # drift row needs the symbolic B inside its trace terms
         b_sym = red.b_symbolic
         rhs_a: list[expr.Expression] = []
-        for i in range(pr.p):
-            hxx = expr.hessian(pr.g[i], x_l, x_l)
-            huu = expr.hessian(pr.g[i], u_l, u_l)
-            hxu = expr.hessian(pr.g[i], x_l, u_l)
-            acc: expr.Expression = expr.const(0.0)
-            for k in range(pr.n):
-                acc = expr.add(acc, expr.mul(dxg_sym[i][k], pr.f[k]))
-            tr: expr.Expression = expr.const(0.0)
-            for j in range(pr.d):
-                for k in range(pr.n):
-                    for l in range(pr.n):
-                        tr = expr.add(tr, expr.mul(expr.mul(pr.sigma[k][j], hxx[k][l]), pr.sigma[l][j]))
-                for k in range(pr.m):
-                    for l in range(pr.m):
-                        tr = expr.add(tr, expr.mul(expr.mul(b_sym[k][j], huu[k][l]), b_sym[l][j]))
-                for k in range(pr.n):
-                    for l in range(pr.m):
-                        tr = expr.add(tr, expr.mul(expr.const(2.0), expr.mul(expr.mul(pr.sigma[k][j], hxu[k][l]), b_sym[l][j])))
-            rhs_a.append(expr.add(acc, expr.mul(expr.const(0.5), tr)))
+        for drift, gi in zip(_symlin.matvec(dxg_sym, pr.f), pr.g):
+            xx = _symlin.quad_trace(pr.sigma, expr.hessian(gi, x_l, x_l), pr.sigma)
+            uu = _symlin.quad_trace(b_sym, expr.hessian(gi, u_l, u_l), b_sym)
+            xu = _symlin.quad_trace(pr.sigma, expr.hessian(gi, x_l, u_l), b_sym)
+            tr = expr.add(expr.add(xx, uu), expr.mul(expr.const(2.0), xu))
+            rhs_a.append(expr.add(drift, expr.mul(expr.const(0.5), tr)))
         red.a_symbolic = [expr.neg(e) for e in _symlin.matvec(inv, rhs_a)]
     return red
 
@@ -234,12 +219,7 @@ def build_index1_sde(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> AugmentedS
 
 def solve_index1(pr: SdaeProblem, dt: float, T: float, seed: int) -> SamplePath:
     """End-to-end: reduce, integrate, and report the worst constraint violation."""
-    g0 = pr.constraint_values(pr.x0, pr.u0_guess)
-    if np.linalg.norm(g0, ord=np.inf) > CONSISTENCY_TOL:
-        raise MethodPreconditionError(
-            f"initial condition violates the constraint: |g(x0, u0)| = "
-            f"{np.linalg.norm(g0, ord=np.inf):.3e} > {CONSISTENCY_TOL:.1e}"
-        )
+    pr.require_consistent_init()
     sde = build_index1_sde(pr)
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, pr.init_point(), dt, T, increments, seed=seed)

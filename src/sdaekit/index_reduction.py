@@ -17,12 +17,13 @@ than inventing a pseudo-inverse notion of index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import expr
+from . import _symlin, expr
 from .errors import MethodPreconditionError
+from .integrator import _newton_batch
 from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
 
 __all__ = ["ReductionStep", "IndexReport", "ito_drift_rows", "reduce_once", "compute_index"]
@@ -34,21 +35,9 @@ def ito_drift_rows(pr: SdaeProblem) -> list[expr.Expression]:
     """Symbolic (D_x g) f + 1/2 Tr(sigma' D2_xx(g_i) sigma) for each row of g."""
     x_l = pr.x_labels
     rows: list[expr.Expression] = []
-    for gi in pr.g:
-        grad = [expr.differentiate(gi, nm) for nm in x_l]
-        acc: expr.Expression = expr.const(0.0)
-        for k in range(pr.n):
-            acc = expr.add(acc, expr.mul(grad[k], pr.f[k]))
-        hess = expr.hessian(gi, x_l, x_l)
-        tr: expr.Expression = expr.const(0.0)
-        for j in range(pr.d):
-            for k in range(pr.n):
-                for l in range(pr.n):
-                    tr = expr.add(
-                        tr,
-                        expr.mul(expr.mul(pr.sigma[k][j], hess[k][l]), pr.sigma[l][j]),
-                    )
-        rows.append(expr.add(acc, expr.mul(expr.const(0.5), tr)))
+    for drift, gi in zip(_symlin.matvec(expr.jacobian(pr.g, x_l), pr.f), pr.g):
+        tr = _symlin.quad_trace(pr.sigma, expr.hessian(gi, x_l, x_l), pr.sigma)
+        rows.append(expr.add(drift, expr.mul(expr.const(0.5), tr)))
     return rows
 
 
@@ -110,21 +99,16 @@ class IndexReport:
 
 def _newton_consistent_u(pr: SdaeProblem) -> tuple[np.ndarray, bool]:
     """Adjust u0 so the (square) constraint holds at the initial state."""
-    dug = expr.CompiledMatrix(expr.jacobian(pr.g, pr.u_labels))
-    g_fn = expr.CompiledVector(pr.g)
-    u = pr.u0_guess.copy()
-    for _ in range(50):
-        env = expr.make_env(pr.labels, np.concatenate([pr.x0, u]))
-        res = g_fn(env, ())
-        if np.abs(res).max() <= 1e-12:
-            return u, True
-        jac = dug(env, ())
-        if not np.isfinite(jac).all() or abs(np.linalg.det(jac)) < SINGULAR_TOL:
-            return u, False
-        u = u - np.linalg.solve(jac, res)
-        if not np.isfinite(u).all():
-            return pr.u0_guess.copy(), False
-    return u, False
+    kernel = expr.compile_kernel(pr.labels, {"g": pr.g, "dug": expr.jacobian(pr.g, pr.u_labels)})
+    point = pr.init_point()[None]
+
+    def fn(u):
+        point[:, pr.n:] = u
+        k = kernel(point)
+        return k["g"], k["dug"]
+
+    u, converged, _, _ = _newton_batch(fn, pr.u0_guess[None], 1e-12, 50, SINGULAR_TOL)
+    return u[0], bool(converged[0])
 
 
 def compute_index(pr: SdaeProblem, max_steps: int = MAX_STEPS_DEFAULT) -> IndexReport:
@@ -153,9 +137,10 @@ def compute_index(pr: SdaeProblem, max_steps: int = MAX_STEPS_DEFAULT) -> IndexR
                         "the dimension law m = p(1+d)^(J-1) fails"
                     ),
                 )
-            env = current.init_env()
-            duh = expr.CompiledMatrix(expr.jacobian(current.g, current.u_labels))
-            det = float(np.linalg.det(duh(env, ())))
+            duh = expr.compile_kernel(
+                current.labels, {"duh": expr.jacobian(current.g, current.u_labels)}
+            )
+            det = float(np.linalg.det(duh(current.init_point())["duh"]))
             if abs(det) <= SINGULAR_TOL:
                 return IndexReport(
                     index=None,
@@ -170,15 +155,7 @@ def compute_index(pr: SdaeProblem, max_steps: int = MAX_STEPS_DEFAULT) -> IndexR
             u_new, ok = _newton_consistent_u(current)
             final = current
             if ok:
-                final = SdaeProblem(
-                    n=current.n, m=current.m, p=current.p, d=current.d,
-                    f=list(current.f),
-                    sigma=[list(r) for r in current.sigma],
-                    g=list(current.g),
-                    gamma=[list(r) for r in current.gamma],
-                    x0=current.x0.copy(), u0_guess=u_new,
-                    name=current.name,
-                )
+                final = replace(current, u0_guess=u_new)
             else:
                 notes.append(
                     "consistent initialisation of the reduced constraint failed; "

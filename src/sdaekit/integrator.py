@@ -12,6 +12,12 @@ from the same evaluation as its coefficients.  Methods that keep part of the
 state on a constraint (bounded Newton) add a ``project`` hook that fills
 those columns after the step.
 
+Every algebraic solve in the package runs on one batched Newton loop,
+``_newton_batch``, whose ``(u, converged, singular, iters)`` result is the
+``project`` hook's contract: the per-step projection of bounded Newton and
+the one-point consistent initial values (bounded, the index reduction and
+Algorithm 1's characteristic) all call it, the last on a batch of one.
+
 Paths that leave the coefficient domain, trip a reduction's singular guard or
 fail their projection are truncated and returned with a status instead of
 raising: Monte Carlo statistics must be able to count failures.
@@ -20,6 +26,7 @@ raising: Monte Carlo statistics must be able to count failures.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TextIO
@@ -198,6 +205,62 @@ def _step_fn(sde: AugmentedSde):
         return ok, drift(points), diffusion(points)
 
     return both
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(m: int) -> np.ndarray:
+    """Read-only identity, shared by every Newton solve of size m."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+def _newton_batch(fn, u0, tol, max_iter, det_tol):
+    """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
+
+    Returns (u, converged, singular, iters).  A path converges when its
+    residual is finite and at most ``tol``.  The residual after the last of
+    the ``max_iter`` updates is not evaluated, so every convergence is
+    confirmed by a residual.  A path is singular where det(D_u res) is not
+    finite or at most ``det_tol`` in size, or where its update is not finite;
+    its u then keeps its last value.  For m = 1 the 1x1 entry a stands in
+    for the determinant and the update is res / a, without LAPACK: its
+    one-column 1x1 solve gives the same quotient bit for bit, while its 1x1
+    det is sign * exp(log|a|), which may differ from a in the last bits.
+    """
+    u = u0.copy()
+    P, m = u.shape
+    converged = np.zeros(P, dtype=bool)
+    singular = np.zeros(P, dtype=bool)
+    iters = np.zeros(P, dtype=np.int64)
+    scalar = m == 1
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            res, jac = fn(u)
+            resn = np.abs(res).max(axis=1)
+            pending = ~converged & ~singular
+            finite = np.isfinite(resn)
+            converged |= pending & finite & (resn <= tol)
+            pending = ~converged & ~singular
+            if not pending.any():
+                break
+            det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
+            bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
+            singular |= bad
+            pending &= ~bad
+            if not pending.any():
+                break
+            if scalar:
+                delta = res / det[:, None]
+            else:
+                safe = np.where(pending[:, None, None], jac, _eye(m))
+                delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
+            bad_step = pending & ~np.isfinite(delta).all(axis=1)
+            singular |= bad_step
+            pending &= ~bad_step
+            u = np.where(pending[:, None], u - delta, u)
+            iters += pending
+    return u, converged, singular, iters
 
 
 def _em_batch(

@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, MethodPreconditionError, NonConvergenceError
+from .errors import DimensionMismatchError, NonConvergenceError
 from .integrator import PathStatus, SamplePath, StatusKind, n_steps, wiener_increments
-from .problem import CONSISTENCY_TOL, SdaeProblem
+from .problem import SdaeProblem
 from .wellposedness import grid_points
 
 __all__ = ["ContractionReport", "check_contraction", "picard_solve"]
@@ -56,9 +56,8 @@ class ContractionReport:
         )
 
 
-def _lipschitz_estimate(fn, pts_a, pts_b) -> float:
-    va = fn(pts_a)
-    vb = fn(pts_b)
+def _lipschitz_estimate(va, vb, pts_a, pts_b) -> float:
+    """Largest |v(a) - v(b)| / |a - b| over the pairs, from values at both ends."""
     num = np.linalg.norm((va - vb).reshape(va.shape[0], -1), axis=1)
     den = np.linalg.norm(pts_a - pts_b, axis=1)
     mask = den > 0
@@ -97,12 +96,11 @@ def check_contraction(
     if norm not in ("spectral", "rowsum"):
         raise ValueError("norm must be 'spectral' or 'rowsum'")
 
-    dxg = expr.CompiledMatrix(expr.jacobian(pr.g, pr.x_labels))
-    dug = expr.CompiledMatrix(expr.jacobian(pr.g, pr.u_labels))
-    pts = grid_points(box, grid_per_dim)
-    env = expr.make_env(pr.labels, pts)
-    P = pts.shape[0]
-    lower = np.concatenate([-dxg(env, (P,)), np.eye(pr.m)[None] - dug(env, (P,))], axis=2)
+    jac = expr.compile_kernel(
+        pr.labels,
+        {"dxg": expr.jacobian(pr.g, pr.x_labels), "dug": expr.jacobian(pr.g, pr.u_labels)},
+    )(grid_points(box, grid_per_dim))
+    lower = np.concatenate([-jac["dxg"], np.eye(pr.m)[None] - jac["dug"]], axis=2)
     if norm == "spectral":
         # top n rows of Dh are zero; the spectral norm equals that of the lower block
         M = float(np.linalg.svd(lower, compute_uv=False)[:, 0].max())
@@ -114,16 +112,11 @@ def check_contraction(
     hi = np.array([b[1] for b in box])
     pts_a = rng.uniform(lo, hi, size=(sample_pairs, pr.n + pr.m))
     pts_b = rng.uniform(lo, hi, size=(sample_pairs, pr.n + pr.m))
-    f_fn = expr.CompiledVector(pr.f)
-    s_fn = expr.CompiledMatrix(pr.sigma)
-    g_fn = expr.CompiledMatrix(pr.gamma)
-
-    def vec_eval(fn):
-        return lambda pts_: fn(expr.make_env(pr.labels, pts_), (pts_.shape[0],))
-
-    kf = _lipschitz_estimate(vec_eval(f_fn), pts_a, pts_b)
-    k_sigma = _lipschitz_estimate(vec_eval(s_fn), pts_a, pts_b)
-    k_gamma = _lipschitz_estimate(vec_eval(g_fn), pts_a, pts_b)
+    coeff = expr.compile_kernel(pr.labels, {"f": pr.f, "sigma": pr.sigma, "gamma": pr.gamma})
+    va, vb = coeff(pts_a), coeff(pts_b)
+    kf, k_sigma, k_gamma = (
+        _lipschitz_estimate(va[key], vb[key], pts_a, pts_b) for key in ("f", "sigma", "gamma")
+    )
 
     a = horizon_bound(M, kf, k_sigma, k_gamma, pr.n, pr.m, pr.d)
     return ContractionReport(
@@ -154,12 +147,7 @@ def picard_solve(
         raise DimensionMismatchError(
             f"the fixed-point map is stated for m = p; got m={pr.m}, p={pr.p}"
         )
-    g0 = pr.constraint_values(pr.x0, pr.u0_guess)
-    if np.linalg.norm(g0, ord=np.inf) > CONSISTENCY_TOL:
-        raise MethodPreconditionError(
-            f"initial condition violates the constraint: |g(x0,u0)| = "
-            f"{np.linalg.norm(g0, ord=np.inf):.3e}"
-        )
+    pr.require_consistent_init()
     if contraction is not None:
         if not contraction.satisfied:
             warnings.warn(
@@ -175,10 +163,10 @@ def picard_solve(
 
     steps = n_steps(T, dt)
     dW = wiener_increments(seed, steps, pr.d, dt)
-    f_fn = expr.CompiledVector(pr.f)
-    s_fn = expr.CompiledMatrix(pr.sigma)
-    g_fn = expr.CompiledVector(pr.g)
-    gam_fn = None if pr.gamma_is_zero() else expr.CompiledMatrix(pr.gamma)
+    kernel = expr.compile_kernel(
+        pr.labels, {"f": pr.f, "sigma": pr.sigma, "g": pr.g, "gamma": pr.gamma}
+    )
+    noisy = not pr.gamma_is_zero()
 
     K = steps + 1
     x = np.tile(pr.x0, (K, 1))
@@ -188,25 +176,17 @@ def picard_solve(
     used = 0
     with np.errstate(all="ignore"):
         for it in range(iterations):
-            env = {
-                **{lab: x[:, i] for i, lab in enumerate(pr.x_labels)},
-                **{lab: u[:, i] for i, lab in enumerate(pr.u_labels)},
-            }
-            f_vals = f_fn(env, (K,))
-            sig_vals = s_fn(env, (K,))
+            k = kernel(np.concatenate([x, u], axis=1))
             x_new = np.empty_like(x)
             x_new[0] = pr.x0
-            drift_terms = f_vals[:-1] * dt
-            noise_terms = np.einsum("knd,kd->kn", sig_vals[:-1], dW)
+            drift_terms = k["f"][:-1] * dt
+            noise_terms = np.einsum("knd,kd->kn", k["sigma"][:-1], dW)
             np.cumsum(drift_terms + noise_terms, axis=0, out=x_new[1:])
             x_new[1:] += pr.x0
-            g_vals = g_fn(env, (K,))
-            u_new = u - g_vals
-            if gam_fn is not None:
-                env_left = {lab: col[:-1] for lab, col in env.items()}
-                gam_vals = gam_fn(env_left, (steps,))
+            u_new = u - k["g"]
+            if noisy:  # left-point Gamma
                 acc = np.zeros((K, pr.p))
-                np.cumsum(np.einsum("kpd,kd->kp", gam_vals, dW), axis=0, out=acc[1:])
+                np.cumsum(np.einsum("kpd,kd->kp", k["gamma"][:-1], dW), axis=0, out=acc[1:])
                 u_new = u_new - acc
             if not (np.isfinite(x_new).all() and np.isfinite(u_new).all()):
                 raise NonConvergenceError(it + 1, float("inf"))

@@ -25,6 +25,7 @@ import numpy as np
 from . import expr
 from .errors import (
     DimensionMismatchError,
+    MethodPreconditionError,
     ProblemFormatError,
     UnknownBuiltinError,
 )
@@ -108,6 +109,10 @@ class SdaeProblem:
                 f"initial condition shapes {self.x0.shape}/{self.u0_guess.shape} "
                 f"do not match (n={self.n}, m={self.m})"
             )
+        if not (np.isfinite(self.x0).all() and np.isfinite(self.u0_guess).all()):
+            raise ProblemFormatError(
+                f"initial values must be finite; got x = {self.x0}, u = {self.u0_guess}"
+            )
         allowed = set(self.x_labels) | set(self.u_labels)
         for where, e in self._all_expressions():
             for nm in free_variables(e):
@@ -152,7 +157,7 @@ class SdaeProblem:
         return np.concatenate([self.x0, self.u0_guess])
 
     def init_env(self) -> dict[str, float]:
-        return expr.make_env(self.labels, self.init_point())
+        return dict(zip(self.labels, self.init_point().tolist()))
 
     def constraint_references_u(self) -> bool:
         u_set = set(self.u_labels)
@@ -184,8 +189,18 @@ class SdaeProblem:
         return kernel
 
     def constraint_values(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        env = expr.make_env(self.labels, np.concatenate([np.atleast_1d(x), np.atleast_1d(u)]))
+        point = np.concatenate([np.atleast_1d(x), np.atleast_1d(u)])
+        env = dict(zip(self.labels, point.tolist()))
         return np.array([expr.evaluate(e, env) for e in self.g])
+
+    def require_consistent_init(self) -> None:
+        """Refuse an initial point off the constraint: |g(x0, u0)|_inf > CONSISTENCY_TOL."""
+        resid = float(np.linalg.norm(self.constraint_values(self.x0, self.u0_guess), ord=np.inf))
+        if not resid <= CONSISTENCY_TOL:
+            raise MethodPreconditionError(
+                f"initial condition violates the constraint: |g(x0, u0)| = "
+                f"{resid:.3e} > {CONSISTENCY_TOL:.1e}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +253,13 @@ def classify(pr: SdaeProblem) -> Classification:
         kind = ProblemKind.INDEX1
         det0 = float("nan")
         if pr.m == pr.p:
-            dug = expr.CompiledMatrix(expr.jacobian(pr.g, pr.u_labels))
+            dug = expr.compile_kernel(pr.labels, {"dug": expr.jacobian(pr.g, pr.u_labels)})
             pt = pr.init_point()
-            det0 = float(np.linalg.det(dug(expr.make_env(pr.labels, pt), ())))
+            det0 = float(np.linalg.det(dug(pt)["dug"]))
             if abs(det0) < SINGULAR_TOL:
                 notes.append("D_u g is numerically singular at the initial point")
             probes = pt + 1e-3 * _perturbation_directions(pr.n + pr.m)
-            dets = np.linalg.det(dug(expr.make_env(pr.labels, probes), (probes.shape[0],)))
+            dets = np.linalg.det(dug(probes)["dug"])
             if np.any(np.sign(dets) != np.sign(det0)) or np.any(np.abs(dets) < SINGULAR_TOL):
                 notes.append(
                     "det D_u g changes sign or nearly vanishes within radius 1e-3 "

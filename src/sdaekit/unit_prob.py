@@ -38,7 +38,14 @@ from .errors import (
     SingularJacobianError,
     SpecInvalidError,
 )
-from .integrator import AugmentedSde, SamplePath, euler_maruyama, n_steps, wiener_increments
+from .integrator import (
+    AugmentedSde,
+    SamplePath,
+    _newton_batch,
+    euler_maruyama,
+    n_steps,
+    wiener_increments,
+)
 from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
 from .wellposedness import grid_points
 
@@ -103,11 +110,12 @@ def validate_characteristic(
             )
     if box is None:
         box = [(-10.0, 10.0)] * pr.m
-    z0 = expr.CompiledVector(spec.composed_constraint(pr))
+    composed = _composed_kernel(pr, spec)
     pts = grid_points(list(box), grid_per_dim)
-    env = expr.make_env(pr.u_labels, pts)
+    v0 = pr.u0_guess if v_init is None else np.asarray(v_init, dtype=float)
     with np.errstate(all="ignore"):
-        vals = z0(env, (pts.shape[0],))
+        vals = composed(pts)["z"]
+        jac0 = composed(v0)["jac"]
     norms = np.abs(vals).max(axis=1)
     if not np.isfinite(norms).all():
         worst = pts[int(np.argmax(~np.isfinite(norms)))]
@@ -118,18 +126,17 @@ def validate_characteristic(
             f"|g(y(v))| = {norms.max():.6g} >= epsilon = {spec.epsilon:g} "
             f"at v = {worst}; tighten y or enlarge epsilon"
         )
-    v0 = pr.u0_guess if v_init is None else np.asarray(v_init, dtype=float)
-    jac = _composed_jacobian(pr, spec)
-    det = float(np.linalg.det(jac(expr.make_env(pr.u_labels, v0), ())))
+    det = float(np.linalg.det(jac0))
     if not np.isfinite(det) or abs(det) <= SINGULAR_TOL:
         raise SpecInvalidError(
             f"(Dg)(D_v y) is singular at the initial v (det = {det:.3e})"
         )
 
 
-def _composed_jacobian(pr: SdaeProblem, spec: CharacteristicSpec) -> expr.CompiledMatrix:
-    """Jacobian of v -> g(y(v)): equals Dg(y(v)) . D_v y(v)."""
-    return expr.CompiledMatrix(expr.jacobian(spec.composed_constraint(pr), pr.u_labels))
+def _composed_kernel(pr: SdaeProblem, spec: CharacteristicSpec) -> Callable:
+    """z = g(y(v)) and its Jacobian Dg(y(v)) . D_v y(v), as one kernel over v."""
+    z = spec.composed_constraint(pr)
+    return expr.compile_kernel(pr.u_labels, {"z": z, "jac": expr.jacobian(z, pr.u_labels)})
 
 
 @dataclass
@@ -271,10 +278,9 @@ def build_unit_prob_sde(
             for l in range(pr.m):
                 s = expr.sub(s, expr.mul(dlam[w][l][j], b_sym[l][j]))
         s_terms.append(s)
-    for i in range(pr.p):
-        acc: expr.Expression = expr.const(0.0)
-        for w in range(pr.n):
-            acc = expr.add(acc, expr.mul(dg[i][w], s_terms[w]))
+    for acc, hgi in zip(_symlin.matvec(dg, s_terms), hg):
+        # not _symlin.quad_trace: one 0.5 outside the sum would regroup these
+        # per-term products and move unit-prob path bits
         for j in range(pr.d):
             for k in range(pr.n):
                 for l in range(pr.n):
@@ -282,7 +288,7 @@ def build_unit_prob_sde(
                         acc,
                         expr.mul(
                             expr.const(0.5),
-                            expr.mul(expr.mul(lam_sym[k][j], hg[i][k][l]), lam_sym[l][j]),
+                            expr.mul(expr.mul(lam_sym[k][j], hgi[k][l]), lam_sym[l][j]),
                         ),
                     )
         chi_sym.append(acc)
@@ -320,30 +326,26 @@ def consistent_init(
     max_iter: int = 50,
 ) -> np.ndarray:
     """Newton-solve g(y(v)) = 0 for the initial algebraic value."""
-    z0 = expr.CompiledVector(spec.composed_constraint(pr))
-    jac = _composed_jacobian(pr, spec)
+    composed = _composed_kernel(pr, spec)
     v = np.array(pr.u0_guess if u_guess is None else u_guess, dtype=float).reshape(-1)
     if v.shape != (pr.m,):
         raise DimensionMismatchError(f"u_guess must have length {pr.m}")
-    last = float("inf")
+
+    def fn(u):
+        k = composed(u)
+        return k["z"], k["jac"]
+
+    u, converged, singular, _ = _newton_batch(fn, v[None], tol, max_iter, SINGULAR_TOL)
+    if converged[0]:
+        return u[0]
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            env = expr.make_env(pr.u_labels, v)
-            res = z0(env, ())
-            last = float(np.abs(res).max())
-            if last <= tol:
-                return v
-            J = jac(env, ())
-            det = np.linalg.det(J)
-            if not np.isfinite(det) or abs(det) <= SINGULAR_TOL:
-                raise SingularJacobianError(
-                    f"(Dg)(D_v y) singular during initialisation (det = {det:.3e})"
-                )
-            step = np.linalg.solve(J, res)
-            if not np.isfinite(step).all():
-                raise NewtonDivergenceError(max_iter, last)
-            v = v - step
-    raise NewtonDivergenceError(max_iter, last)
+        k = composed(u[0])
+        det = np.linalg.det(k["jac"])
+    if singular[0] and not (np.isfinite(det) and abs(det) > SINGULAR_TOL):
+        raise SingularJacobianError(
+            f"(Dg)(D_v y) singular during initialisation (det = {det:.3e})"
+        )
+    raise NewtonDivergenceError(max_iter, float(np.abs(k["z"]).max()))
 
 
 def solve_unit_prob(
@@ -361,9 +363,8 @@ def solve_unit_prob(
     """Build the reduced SDE, initialise consistently, and integrate."""
     red = build_unit_prob_sde(pr, spec, validate=validate, box=box, grid_per_dim=grid_per_dim)
     u0 = consistent_init(spec, pr, u_guess)
-    y0 = np.array(
-        [expr.evaluate(yi, expr.make_env(pr.u_labels, u0)) for yi in spec.y]
-    )
+    env = dict(zip(pr.u_labels, u0.tolist()))
+    y0 = np.array([expr.evaluate(yi, env) for yi in spec.y])
     if np.abs(y0 - pr.x0).max() > 1e-8:
         warnings.warn(
             f"x0 = {pr.x0} does not lie on the characteristic (y(u0) = {y0}); "

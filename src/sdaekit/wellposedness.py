@@ -75,11 +75,13 @@ def _require_unsdae(pr: SdaeProblem) -> None:
         )
 
 
-def _residual_evaluators(pr: SdaeProblem):
-    dxg = expr.CompiledMatrix(expr.jacobian(pr.g, pr.x_labels))
-    sig = expr.CompiledMatrix(pr.sigma)
-    gam = expr.CompiledMatrix(pr.gamma)
-    return dxg, sig, gam
+def _residuals(pr: SdaeProblem, points: np.ndarray) -> np.ndarray:
+    """R at points whose columns are the leading labels (x, or x and u)."""
+    k = expr.compile_kernel(
+        pr.labels[: points.shape[-1]],
+        {"dxg": expr.jacobian(pr.g, pr.x_labels), "sigma": pr.sigma, "gamma": pr.gamma},
+    )(points)
+    return k["dxg"] @ k["sigma"] + k["gamma"]
 
 
 def tangency_residual(pr: SdaeProblem, point: np.ndarray) -> np.ndarray:
@@ -88,9 +90,7 @@ def tangency_residual(pr: SdaeProblem, point: np.ndarray) -> np.ndarray:
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] not in (pr.n, pr.n + pr.m):
         raise ValueError(f"point must have dimension {pr.n} or {pr.n + pr.m}")
-    env = expr.make_env(pr.labels[: point.shape[0]], point)
-    dxg, sig, gam = _residual_evaluators(pr)
-    return dxg(env, ()) @ sig(env, ()) + gam(env, ())
+    return _residuals(pr, point)
 
 
 def grid_points(box, grid_per_dim: int) -> np.ndarray:
@@ -113,10 +113,8 @@ def is_ill_posed(
     if len(box) != pr.n:
         raise ValueError(f"box must cover the {pr.n} state dimensions")
     probes = np.vstack([pr.x0[None], grid_points(box, grid_per_dim)])
-    env = expr.make_env(pr.x_labels, probes)
-    dxg, sig, gam = _residual_evaluators(pr)
     P = probes.shape[0]
-    residuals = dxg(env, (P,)) @ sig(env, (P,)) + gam(env, (P,))
+    residuals = _residuals(pr, probes)
     if residuals.size == 0:  # d = 0: no noise directions, nothing to violate
         norms = np.zeros(P)
     else:

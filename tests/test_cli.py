@@ -249,6 +249,54 @@ class TestSolve:
                    "--dt", "1e-3", "--t-end", "0.1", "--out", str(tmp_path / "z")])
         assert rc == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--b", "nan"],
+        ["--b", "0"],
+        ["--b", "-1"],
+        ["--iterations", "0"],
+        ["--tol", "0"],
+        ["--tol", "inf"],
+    ], ids=" ".join)
+    def test_out_of_range_gain_and_picard_flag_exit_1(self, linear_file, tmp_path, capsys, flags):
+        argv = ["solve", str(linear_file), "--method", "index1",
+                "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")]
+        assert main(argv + flags) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_index1_inconsistent_initial_value_exit_3(self, tmp_path, capsys):
+        # g = u1 - x1 is 4 at x = 1, u = 5: the index-1 method must refuse it
+        problem = tmp_path / "off.sdae"
+        problem.write_text(
+            "[dims]\nn=1 m=1 p=1 d=1\n[drift]\nu1\n[diffusion]\n0.3\n"
+            "[constraint]\nu1 - x1\n[constraint_noise]\n0\n[initial]\nx = 1\nu = 5\n"
+        )
+        rc = main(["solve", str(problem), "--method", "index1",
+                   "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "initial condition violates the constraint" in capsys.readouterr().err
+
+    def test_nan_initial_value_exit_2(self, tmp_path, capsys):
+        problem = tmp_path / "nan.sdae"
+        problem.write_text(
+            "[dims]\nn=1 m=1 p=1 d=1\n[drift]\nu1\n[diffusion]\n0.3\n"
+            "[constraint]\nu1 - x1\n[constraint_noise]\n0\n[initial]\nx = 1\nu = nan\n"
+        )
+        rc = main(["solve", str(problem), "--method", "index1",
+                   "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_gain_warning_emitted_once(self, paper_file, tmp_path, capsys):
+        with pytest.warns(UserWarning) as record:
+            rc = main(["solve", str(paper_file), "--method", "bounded",
+                       "--epsilon", "0.5", "--alpha", "0.8", "--box", "-2:2,-5:5",
+                       "--grid", "21", "--b", "1", "--dt", "1e-3", "--t-end", "0.01",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        threshold = [w for w in record if "not above the threshold" in str(w.message)]
+        assert len(threshold) == 1
+
 
 class TestVerifyBound:
     def test_verify_after_solve(self, paper_file, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from helpers import random_points
 from sdaekit.errors import (
     DimensionMismatchError,
+    MethodPreconditionError,
     ProblemFormatError,
     UnknownBuiltinError,
 )
@@ -71,6 +72,14 @@ class TestLoad:
         bad = PAPER_FILE.replace("[constraint_noise]\n0, 0\n", "")
         with pytest.raises(ProblemFormatError, match="constraint_noise"):
             load_problem(bad)
+
+    @pytest.mark.parametrize("x0,u0", [(["nan", "0"], ["0"]), (["0", "0"], ["inf"])])
+    def test_non_finite_initial_value_rejected(self, x0, u0):
+        text = PAPER_FILE.replace("x = 0, 0", "x = " + ", ".join(x0)).replace(
+            "u = 0", "u = " + ", ".join(u0)
+        )
+        with pytest.raises(ProblemFormatError, match="finite"):
+            load_problem(text)
 
     def test_comments_and_whitespace_tolerated(self):
         text = PAPER_FILE.replace("n=2 m=1 p=1 d=2", "n = 2\nm =1\np= 1\nd = 2")
@@ -154,3 +163,18 @@ class TestBuiltins:
     def test_paper_example_consistent_init(self):
         pr = builtin("paper-example")
         assert np.linalg.norm(pr.constraint_values(pr.x0, pr.u0_guess)) == 0.0
+
+
+class TestConsistentInitCheck:
+    """One check, shared by solve_index1, picard_solve and the CLI index-1 solve."""
+
+    @pytest.mark.parametrize("method", ["index1", "picard"])
+    def test_nan_initial_value_refused_by_solvers(self, method):
+        from sdaekit.index1 import solve_index1
+        from sdaekit.picard import picard_solve
+
+        pr = builtin("linear-index1")
+        pr.u0_guess = np.array([np.nan])  # set after validation, so only the check sees it
+        solve = solve_index1 if method == "index1" else picard_solve
+        with pytest.raises(MethodPreconditionError, match="initial condition"):
+            solve(pr, dt=1e-2, T=0.1, seed=1)
