@@ -38,10 +38,6 @@ def matsub(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     return [[sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def scale(a: SymMatrix, s: Expression) -> SymMatrix:
-    return [[mul(s, x) for x in row] for row in a]
-
-
 def quad_trace(left: SymMatrix, h: SymMatrix, right: SymMatrix) -> Expression:
     """The Ito-trace pattern sum_j sum_k sum_l left[k][j] h[k][l] right[l][j].
 

@@ -10,8 +10,9 @@ J = sup_U Tr(A A'), A = (Dg) sigma.  Chebyshev then gives
 P(|lambda(t)| > eps) <= alpha for any gain above J / (2 eps^2 alpha).
 
 The supremum is a grid estimate with one refinement pass; both the raw grid
-value and a safety-inflated value are reported, and the gain is chosen from
-the raw value so the stated threshold is reproducible.  Two solve modes
+value and that value inflated by SUP_INFLATION (1.05) are reported, and the
+gain is chosen from the raw value so the stated threshold is reproducible:
+b = GAIN_MARGIN (1.1) times the threshold.  Two solve modes
 enforce the same h, both on the shared Euler-Maruyama engine: a per-step
 warm-started Newton solve (default, robust near singularities), which steps
 x with (f, sigma) and projects u onto h(x, u) = 0 through the engine's
@@ -20,7 +21,7 @@ The Newton residual and D_u h come from one staged kernel: the nodes that
 depend on x alone are computed once per step, the rest once per iterate.
 With one algebraic variable (m = 1) the update is the quotient h / D_u h and
 the singular test reads D_u h itself, with no LAPACK call; m >= 2 solves with
-LAPACK.
+LAPACK.  Every Newton solve here stops at a residual of NEWTON_TOL (1e-10).
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ __all__ = [
     "verify_bound",
 ]
 
+SUP_INFLATION = 1.05  # inflation applied to the reported supremum
+GAIN_MARGIN = 1.1  # margin applied when choosing b above the threshold
+NEWTON_TOL = 1e-10  # residual at which a Newton solve for u stops
+
 
 class SolveMode(enum.Enum):
     NEWTON_PER_STEP = "newton-per-step"
@@ -78,7 +83,7 @@ class SolveMode(enum.Enum):
 @dataclass
 class SupTraceResult:
     raw: float  # grid maximum after refinement, no inflation
-    inflated: float  # raw times the safety factor
+    inflated: float  # raw times SUP_INFLATION
     argmax_point: np.ndarray
     grid_per_dim: int
 
@@ -89,8 +94,6 @@ class BoundedMConfig:
     alpha: float
     box: list[tuple[float, float]]
     grid_per_dim: int = 101
-    safety_factor: float = 1.05  # inflation applied to the reported supremum
-    gain_safety: float = 1.1  # margin applied when choosing b above the threshold
     b: float | None = None
     J_raw: float | None = None
     J_inflated: float | None = None
@@ -100,15 +103,12 @@ class BoundedMConfig:
             raise ValueError("epsilon must be positive")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.safety_factor < 1:
-            raise ValueError("safety_factor must be >= 1")
 
 
 def sup_trace(
     pr: SdaeProblem,
     box: Sequence[tuple[float, float]],
     grid_per_dim: int = 101,
-    safety_factor: float = 1.05,
 ) -> SupTraceResult:
     """Grid estimate of sup Tr(A A') with one 2x refinement around the argmax."""
     if pr.constraint_references_u():
@@ -150,7 +150,7 @@ def sup_trace(
         argmax = pts2[best2]
     return SupTraceResult(
         raw=raw,
-        inflated=raw * safety_factor,
+        inflated=raw * SUP_INFLATION,
         argmax_point=argmax,
         grid_per_dim=grid_per_dim,
     )
@@ -165,12 +165,12 @@ def gain_threshold(J: float, epsilon: float, alpha: float) -> float:
     return J / (2.0 * epsilon**2 * alpha)
 
 
-def choose_b(J: float, epsilon: float, alpha: float, safety_factor: float = 1.1) -> float:
-    """Gain with a multiplicative margin; floor of 1 when the noise vanishes."""
+def choose_b(J: float, epsilon: float, alpha: float) -> float:
+    """GAIN_MARGIN times the threshold; floor of 1 when the noise vanishes."""
     threshold = gain_threshold(J, epsilon, alpha)
     if J == 0.0:
         return 1.0  # pure stabilisation is still desirable without noise
-    return safety_factor * threshold
+    return GAIN_MARGIN * threshold
 
 
 def build_bounded_constraint(pr: SdaeProblem, b: float) -> SdaeProblem:
@@ -201,12 +201,12 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
     """Fill in J (grid supremum) and b (gain) where the caller left them open."""
     out = cfg
     if out.J_raw is None:
-        sup = sup_trace(pr, out.box, out.grid_per_dim, out.safety_factor)
+        sup = sup_trace(pr, out.box, out.grid_per_dim)
         out = replace(out, J_raw=sup.raw, J_inflated=sup.inflated)
     elif out.J_inflated is None:
-        out = replace(out, J_inflated=out.J_raw * out.safety_factor)
+        out = replace(out, J_inflated=out.J_raw * SUP_INFLATION)
     if out.b is None:
-        out = replace(out, b=choose_b(out.J_raw, out.epsilon, out.alpha, out.gain_safety))
+        out = replace(out, b=choose_b(out.J_raw, out.epsilon, out.alpha))
     threshold = gain_threshold(out.J_raw, out.epsilon, out.alpha)
     if out.b <= threshold and out.J_raw > 0:
         warnings.warn(
@@ -249,10 +249,10 @@ def _h_system(h_pr: SdaeProblem):
     return at
 
 
-def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarray:
+def _initial_algebraic_value(h_pr: SdaeProblem) -> np.ndarray:
     fn = _h_system(h_pr)(h_pr.init_point()[None])
     u, ok, singular, _ = _newton_batch(
-        fn, h_pr.u0_guess[None].astype(float), tol, 50, SINGULAR_TOL
+        fn, h_pr.u0_guess[None].astype(float), NEWTON_TOL, 50, SINGULAR_TOL
     )
     if singular[0]:
         raise SingularReductionError(
@@ -264,7 +264,7 @@ def _initial_algebraic_value(h_pr: SdaeProblem, tol: float = 1e-10) -> np.ndarra
     return u[0]
 
 
-def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem, newton_tol: float) -> AugmentedSde:
+def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem) -> AugmentedSde:
     """x steps with (f, sigma); u is projected onto h(x, u) = 0 by Newton."""
     coeff = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
     h_at = _h_system(h_pr)
@@ -275,24 +275,23 @@ def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem, newton_tol: float) -> Augmen
         return None, k["drift"], k["diffusion"]
 
     def project(state):
-        return _newton_batch(h_at(state), state[:, n:], newton_tol, 50, SINGULAR_TOL)
+        return _newton_batch(h_at(state), state[:, n:], NEWTON_TOL, 50, SINGULAR_TOL)
 
     return AugmentedSde(
-        dim=pr.n + pr.m, d=pr.d, labels=pr.labels, both=both, project=project,
-        origin="bounded-newton", problem=pr,
+        dim=pr.n + pr.m, d=pr.d, labels=pr.labels, both=both, project=project, problem=pr,
     )
 
 
 def _stabilised_sde(
-    pr: SdaeProblem, cfg: BoundedMConfig, mode: SolveMode, newton_tol: float
+    pr: SdaeProblem, cfg: BoundedMConfig, mode: SolveMode
 ) -> tuple[AugmentedSde, np.ndarray]:
     """The SDE enforcing h = 0 in the given mode, and its initial state."""
     h_pr = build_bounded_constraint(pr, cfg.b)
-    u0 = _initial_algebraic_value(h_pr, newton_tol)
+    u0 = _initial_algebraic_value(h_pr)
     if mode is SolveMode.LEMMA1_REDUCTION:
         sde = build_index1_sde(replace(h_pr, u0_guess=u0))
     else:
-        sde = _newton_sde(pr, h_pr, newton_tol)
+        sde = _newton_sde(pr, h_pr)
     return sde, np.concatenate([pr.x0, u0])
 
 
@@ -306,11 +305,10 @@ def run_bounded_ensemble(
     mode: SolveMode = SolveMode.NEWTON_PER_STEP,
     *,
     chunk: int = 256,
-    newton_tol: float = 1e-10,
 ) -> Ensemble:
     """Simulate the stabilised system for a whole ensemble (derived seeds)."""
     cfg = resolve_config(pr, cfg)
-    sde, init = _stabilised_sde(pr, cfg, mode, newton_tol)
+    sde, init = _stabilised_sde(pr, cfg, mode)
     ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
     ens.meta.update({"mode": mode.value, "config": cfg})
     return ens
@@ -323,12 +321,10 @@ def solve_bounded(
     T: float,
     seed: int,
     mode: SolveMode = SolveMode.NEWTON_PER_STEP,
-    *,
-    newton_tol: float = 1e-10,
 ) -> SamplePath:
     """Single stabilised path; the literal seed drives the increments."""
     cfg = resolve_config(pr, cfg)
-    sde, init = _stabilised_sde(pr, cfg, mode, newton_tol)
+    sde, init = _stabilised_sde(pr, cfg, mode)
     inc = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, init, dt, T, inc, seed=seed)
     lam = constraint_process(pr, path)

@@ -2,7 +2,10 @@
 
 Every solve writes a manifest recording the resolved flags, the problem hash
 and the base seed; `rerun` re-executes a manifest and reproduces the output
-files byte for byte.  All randomness flows from the single --seed flag.
+files byte for byte; `verify-bound` re-executes a stored bounded solve and
+checks that run against a new epsilon and alpha, keeping its gain b and J.
+All randomness flows from the single --seed flag.  Each method's set-up is
+the library's own, shared with its single-path solver.
 
 Exit codes: 0 success, 1 usage (a malformed command line or a flag value out
 of range), 2 invalid problem, 3 method precondition failed, 4 runtime failure
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +30,9 @@ from .bounded import (
     BoundedMConfig,
     SolveMode,
     gain_threshold,
+    resolve_config,
     run_bounded_ensemble,
+    verify_bound,
 )
 from .errors import (
     MethodPreconditionError,
@@ -34,7 +40,7 @@ from .errors import (
 )
 from .expr import parse as parse_expr
 from .expr import to_text
-from .index1 import build_index1_sde
+from .index1 import index1_setup
 from .index_reduction import compute_index, reduce_once
 from .integrator import Ensemble, constraint_process, derive_seed, write_path_csv
 from .picard import check_contraction, picard_solve
@@ -48,7 +54,7 @@ from .problem import (
     print_problem,
 )
 from .stats import run_ensemble, violation_stats, write_report_csv
-from .unit_prob import CharacteristicSpec, build_unit_prob_sde, consistent_init
+from .unit_prob import CharacteristicSpec, _unit_prob_setup
 from .wellposedness import is_ill_posed
 
 EXIT_OK, EXIT_USAGE, EXIT_PROBLEM, EXIT_PRECONDITION, EXIT_RUNTIME = 0, 1, 2, 3, 4
@@ -165,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("verify-bound", help="re-check a stored bounded run")
+    p = sub.add_parser("verify-bound", help="re-execute a stored bounded solve and check it "
+                       "against a new epsilon and alpha, keeping the stored gain")
     p.add_argument("dir")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -211,6 +218,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check(args) -> int:
     _require(args.grid >= 1, f"--grid must be at least 1, got {args.grid}")
     _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
+    _require(math.isfinite(args.tol) and args.tol > 0, f"--tol must be positive, got {args.tol:g}")
     pr = _load(args.file)
     box = _parse_box(args.box, pr.n + pr.m if args.contraction else pr.n)
     if args.contraction:
@@ -284,12 +292,7 @@ def _solve_boxes(pr: SdaeProblem, args) -> tuple[Box | None, Box | None]:
 
 def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -> tuple[Ensemble, dict]:
     info: dict = {}
-    if args.method == "index1":
-        pr.require_consistent_init()
-        sde = build_index1_sde(pr)
-        ens = run_ensemble(sde, pr.init_point(), args.dt, args.t_end,
-                           args.paths, args.seed, problem=pr)
-    elif args.method == "picard":
+    if args.method == "picard":
         paths = []
         for k in range(args.paths):
             paths.append(
@@ -298,15 +301,7 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
             )
         ens = Ensemble(paths=paths, dt=args.dt, T=args.t_end,
                        base_seed=args.seed, problem=pr)
-    elif args.method == "unit-prob":
-        spec = _read_characteristic(args, pr)
-        red = build_unit_prob_sde(pr, spec, box=y_box, grid_per_dim=args.y_grid)
-        u0 = consistent_init(spec, pr)
-        init = np.concatenate([pr.x0, u0])
-        ens = run_ensemble(red.sde(), init, args.dt, args.t_end,
-                           args.paths, args.seed, problem=pr)
-        info["epsilon"] = spec.epsilon
-    else:  # bounded
+    elif args.method == "bounded":
         if args.epsilon is None or args.alpha is None or args.box is None:
             raise MethodPreconditionError(
                 "--epsilon, --alpha and --box are required for bounded"
@@ -325,6 +320,14 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
             J_inflated=cfg.J_inflated,
             threshold=gain_threshold(cfg.J_raw, cfg.epsilon, cfg.alpha),
         )
+    else:
+        if args.method == "index1":
+            sde, init = index1_setup(pr)
+        else:  # unit-prob
+            spec = _read_characteristic(args, pr)
+            sde, init = _unit_prob_setup(pr, spec, args.dt, y_box, args.y_grid)
+            info["epsilon"] = spec.epsilon
+        ens = run_ensemble(sde, init, args.dt, args.t_end, args.paths, args.seed, problem=pr)
     return ens, info
 
 
@@ -392,31 +395,24 @@ def _cmd_solve(args) -> int:
 def _cmd_verify_bound(args) -> int:
     _check_epsilon_alpha(args.epsilon, args.alpha)
     run_dir = Path(args.dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    stored = manifest["args"]
-    if stored.get("method") != "bounded":
+    ns = _stored_solve(run_dir / "manifest.json")
+    if ns.method != "bounded":
         raise MethodPreconditionError(
             "verify-bound needs a run produced by solve --method bounded"
         )
-    ns = argparse.Namespace(**stored)
-    ns.file = str(run_dir / "problem.sdae")
-    _check_run_inputs(manifest, Path(ns.file))
     pr = _load(ns.file)
-    cfg = BoundedMConfig(
-        epsilon=args.epsilon, alpha=args.alpha, box=_solve_boxes(pr, ns)[0],
-        grid_per_dim=ns.grid, b=ns.b,
-    )
-    ens = run_bounded_ensemble(pr, cfg, ns.dt, ns.t_end, ns.paths,
-                               manifest["base_seed"], SolveMode(ns.mode))
-    cfg = ens.meta["config"]
-    report = violation_stats(pr, ens, args.epsilon, b=cfg.b, J=cfg.J_raw)
+    ens, _ = _solve_ensemble(pr, ns, *_solve_boxes(pr, ns))
+    # the stored b and J with the new target: warns when b is not above its threshold
+    cfg = resolve_config(pr, replace(ens.meta["config"], epsilon=args.epsilon, alpha=args.alpha))
+    report = verify_bound(ens, cfg)
     with open(run_dir / "verify_report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(report, fh)
     worst = float(np.nanmax(report.empirical_p))
     verdict = "satisfied" if worst <= args.alpha else "VIOLATED"
     print(
         f"P(|lambda(t)| > {args.epsilon:g}) <= {args.alpha:g}: {verdict} "
-        f"(max empirical {worst:.4f} over {len(ens.paths)} paths)"
+        f"(max empirical {worst:.4f} over {len(ens.paths)} paths, stored gain b = {cfg.b:g}, "
+        f"threshold {gain_threshold(cfg.J_raw, cfg.epsilon, cfg.alpha):.3g})"
     )
     print(f"wrote {run_dir / 'verify_report.csv'}")
     return EXIT_OK
@@ -449,16 +445,22 @@ def _check_run_inputs(manifest: dict, problem_file: Path) -> None:
         )
 
 
-def _cmd_rerun(args) -> int:
-    manifest_path = Path(args.manifest)
+def _stored_solve(manifest_path: Path) -> argparse.Namespace:
+    """The flags of the solve a manifest records, with its problem file and
+    base seed, once its tool version and problem hash are checked."""
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if manifest.get("subcommand") != "solve":
         raise MethodPreconditionError("manifest does not describe a solve run")
     ns = argparse.Namespace(**manifest["args"])
     ns.file = str(manifest_path.parent / "problem.sdae")
     _check_run_inputs(manifest, Path(ns.file))
-    ns.out = args.out
     ns.seed = manifest["base_seed"]
+    return ns
+
+
+def _cmd_rerun(args) -> int:
+    ns = _stored_solve(Path(args.manifest))
+    ns.out = args.out
     return _cmd_solve(ns)
 
 

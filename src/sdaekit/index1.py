@@ -38,7 +38,7 @@ from .errors import (
 from .integrator import AugmentedSde, SamplePath, _eye, euler_maruyama, n_steps, wiener_increments
 from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
 
-__all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "solve_index1"]
+__all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "index1_setup", "solve_index1"]
 
 
 # the shared Ito correction pattern: sum_{k,l,j} A_{kj} H_{kl} C_{lj}
@@ -129,7 +129,6 @@ class Index1Reduction:
             d=pr.d,
             labels=pr.labels,
             both=both,
-            origin="index1",
             problem=pr,
         )
 
@@ -217,12 +216,17 @@ def build_index1_sde(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> AugmentedS
     return red.sde()
 
 
+def index1_setup(pr: SdaeProblem) -> tuple[AugmentedSde, np.ndarray]:
+    """The reduced SDE and its initial state; refuses an initial point off the constraint."""
+    pr.require_consistent_init()
+    return build_index1_sde(pr), pr.init_point()
+
+
 def solve_index1(pr: SdaeProblem, dt: float, T: float, seed: int) -> SamplePath:
     """End-to-end: reduce, integrate, and report the worst constraint violation."""
-    pr.require_consistent_init()
-    sde = build_index1_sde(pr)
+    sde, init = index1_setup(pr)
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
-    path = euler_maruyama(sde, pr.init_point(), dt, T, increments, seed=seed)
+    path = euler_maruyama(sde, init, dt, T, increments, seed=seed)
     g_vals = pr.constraint_kernel(pr.labels)(path.states)["g"]
     path.metadata["max_constraint_violation"] = float(np.abs(g_vals).max())
     return path

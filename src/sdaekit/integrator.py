@@ -137,7 +137,6 @@ class AugmentedSde:
     labels: tuple[str, ...]
     drift: Callable[[np.ndarray], np.ndarray] | None = None
     diffusion: Callable[[np.ndarray], np.ndarray] | None = None
-    origin: str = ""
     guard: Callable[[np.ndarray], np.ndarray] | None = None
     both: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray, np.ndarray]] | None = None
     problem: SdaeProblem | None = None
@@ -397,6 +396,12 @@ def euler_maruyama(
 
 def constraint_process(pr: SdaeProblem, path: SamplePath) -> np.ndarray:
     """Per-grid-point constraint process, shape (len(path), p)."""
+    return _g_and_lambda(pr, path)[1]
+
+
+def _g_and_lambda(pr: SdaeProblem, path: SamplePath) -> tuple[np.ndarray, np.ndarray]:
+    """(g, lambda) along the path from one evaluation of the constraint kernel;
+    lambda is g itself when Gamma is zero."""
     idx = {lab: i for i, lab in enumerate(path.labels)}
     needed = set()
     for e in pr.g:
@@ -411,11 +416,11 @@ def constraint_process(pr: SdaeProblem, path: SamplePath) -> np.ndarray:
     g_vals = k["g"]
     K = len(path) - 1
     if pr.gamma_is_zero() or K == 0 or pr.d == 0:
-        return g_vals
+        return g_vals, g_vals
     terms = np.einsum("kpd,kd->kp", k["gamma"][:K], path.dW[:K])  # left-point Gamma
     acc = np.zeros((K + 1, pr.p))
     np.cumsum(terms, axis=0, out=acc[1:])
-    return g_vals + acc
+    return g_vals, g_vals + acc
 
 
 _CSV_BLOCK_ROWS = 2048  # rows formatted per write: bounds the temporary text

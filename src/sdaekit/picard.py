@@ -133,7 +133,6 @@ def picard_solve(
     iterations: int = 100,
     seed: int = 0,
     tol: float = 1e-10,
-    box: Sequence[tuple[float, float]] | None = None,
     contraction: ContractionReport | None = None,
 ) -> SamplePath:
     """Iterate the discretised fixed-point map to a trajectory on (x, u).
@@ -200,25 +199,13 @@ def picard_solve(
     if not converged:
         raise NonConvergenceError(used, deltas[-1] if deltas else float("inf"))
 
-    states = np.concatenate([x, u], axis=1)
-    status = PathStatus(StatusKind.COMPLETED)
-    last = steps
-    if box is not None:
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-        outside = ((states < lo) | (states > hi)).any(axis=1)
-        exits = np.nonzero(outside)[0]
-        if exits.size:
-            last = int(exits[0])
-            status = PathStatus(StatusKind.REGION_EXIT, last)
-    path = SamplePath(
+    return SamplePath(
         dt=dt,
-        t_grid=np.arange(last + 1, dtype=float) * dt,
-        states=states[: last + 1],
-        dW=dW[:last],
+        t_grid=np.arange(steps + 1, dtype=float) * dt,
+        states=np.concatenate([x, u], axis=1),
+        dW=dW,
         seed=seed,
-        status=status,
+        status=PathStatus(StatusKind.COMPLETED),
         labels=pr.labels,
         metadata={"iterations": used, "deltas": deltas, "converged": converged},
     )
-    return path

@@ -23,8 +23,8 @@ from .integrator import (
     SamplePath,
     _em_batch,
     _extract_path,
+    _g_and_lambda,
     _write_rows,
-    constraint_process,
     derive_seed,
     n_steps,
     wiener_increments,
@@ -117,18 +117,14 @@ def violation_stats(
     viol = np.zeros((P, K + 1), dtype=np.int64)
     alive_mask = np.zeros((P, K + 1), dtype=bool)
     g_vals = np.full((P, K + 1, pr.p), np.nan)
-    gamma_zero = pr.gamma_is_zero()
     for i, path in enumerate(ens.paths):
-        lam = constraint_process(pr, path)
+        g, lam = _g_and_lambda(pr, path)
         k = len(path)
         norms = np.linalg.norm(lam, axis=1)
         lam_sq[i, :k] = norms**2
         viol[i, :k] = norms > epsilon
         alive_mask[i, :k] = True
-        if gamma_zero:
-            g_vals[i, :k] = lam  # lambda coincides with g when Gamma = 0
-        else:
-            g_vals[i, :k] = pr.constraint_kernel(path.labels)(path.states)["g"]
+        g_vals[i, :k] = g
     alive = alive_mask.sum(axis=0)
     counts = viol.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

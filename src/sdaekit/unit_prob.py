@@ -212,7 +212,6 @@ class UnitProbReduction:
             d=pr.d,
             labels=pr.labels,
             both=both,
-            origin="unit-prob",
             problem=pr,
         )
 
@@ -221,11 +220,10 @@ def build_unit_prob_sde(
     pr: SdaeProblem,
     spec: CharacteristicSpec,
     *,
-    validate: bool = True,
     box=None,
     grid_per_dim: int = 101,
 ) -> UnitProbReduction:
-    """Assemble the reduced SDE coefficients from the characteristic map."""
+    """Validate the characteristic on its grid and assemble the reduced SDE."""
     if classify(pr).kind is not ProblemKind.HIGH_INDEX:
         raise MethodPreconditionError(
             "the characteristic construction applies to high-index problems; "
@@ -240,8 +238,7 @@ def build_unit_prob_sde(
         raise DimensionMismatchError(
             f"the m-by-m solve needs m = p; got m={pr.m}, p={pr.p}"
         )
-    if validate:
-        validate_characteristic(pr, spec, box=box, grid_per_dim=grid_per_dim)
+    validate_characteristic(pr, spec, box=box, grid_per_dim=grid_per_dim)
 
     x_l, u_l = pr.x_labels, pr.u_labels
     dg = expr.jacobian(pr.g, x_l)  # p x n
@@ -322,8 +319,6 @@ def consistent_init(
     spec: CharacteristicSpec,
     pr: SdaeProblem,
     u_guess: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Newton-solve g(y(v)) = 0 for the initial algebraic value."""
     composed = _composed_kernel(pr, spec)
@@ -335,7 +330,7 @@ def consistent_init(
         k = composed(u)
         return k["z"], k["jac"]
 
-    u, converged, singular, _ = _newton_batch(fn, v[None], tol, max_iter, SINGULAR_TOL)
+    u, converged, singular, _ = _newton_batch(fn, v[None], 1e-12, 50, SINGULAR_TOL)
     if converged[0]:
         return u[0]
     with np.errstate(all="ignore"):
@@ -345,24 +340,24 @@ def consistent_init(
         raise SingularJacobianError(
             f"(Dg)(D_v y) singular during initialisation (det = {det:.3e})"
         )
-    raise NewtonDivergenceError(max_iter, float(np.abs(k["z"]).max()))
+    raise NewtonDivergenceError(50, float(np.abs(k["z"]).max()))
 
 
-def solve_unit_prob(
+def _unit_prob_setup(
     pr: SdaeProblem,
     spec: CharacteristicSpec,
     dt: float,
-    T: float,
-    seed: int,
-    *,
-    u_guess: np.ndarray | None = None,
-    validate: bool = True,
     box=None,
     grid_per_dim: int = 101,
-) -> SamplePath:
-    """Build the reduced SDE, initialise consistently, and integrate."""
-    red = build_unit_prob_sde(pr, spec, validate=validate, box=box, grid_per_dim=grid_per_dim)
-    u0 = consistent_init(spec, pr, u_guess)
+) -> tuple[AugmentedSde, np.ndarray]:
+    """The reduced SDE and its consistent initial state; warns when x0 is off
+    the characteristic and when |B|^2 dt at the initial state exceeds STIFFNESS_BUDGET.
+
+    The warnings name the caller of solve_unit_prob or of the CLI's ensemble
+    solve, the two callers of this function.
+    """
+    red = build_unit_prob_sde(pr, spec, box=box, grid_per_dim=grid_per_dim)
+    u0 = consistent_init(spec, pr)
     env = dict(zip(pr.u_labels, u0.tolist()))
     y0 = np.array([expr.evaluate(yi, env) for yi in spec.y])
     if np.abs(y0 - pr.x0).max() > 1e-8:
@@ -370,7 +365,7 @@ def solve_unit_prob(
             f"x0 = {pr.x0} does not lie on the characteristic (y(u0) = {y0}); "
             "the frozen-band identity g(x(t)) = g(y(u(t))) will only hold "
             "approximately",
-            stacklevel=2,
+            stacklevel=3,
         )
     init = np.concatenate([pr.x0, u0])
     b0 = red.b_values(init)
@@ -379,10 +374,22 @@ def solve_unit_prob(
         warnings.warn(
             f"|B|^2 dt = {stiffness:.3g} exceeds {STIFFNESS_BUDGET}; the explicit "
             f"scheme will be noisy - consider dt <= {STIFFNESS_BUDGET / np.sum(b0**2):.2e}",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return red.sde(), init
+
+
+def solve_unit_prob(
+    pr: SdaeProblem,
+    spec: CharacteristicSpec,
+    dt: float,
+    T: float,
+    seed: int,
+) -> SamplePath:
+    """Set up the reduced SDE (see _unit_prob_setup) and integrate one path."""
+    sde, init = _unit_prob_setup(pr, spec, dt)
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
-    path = euler_maruyama(red.sde(), init, dt, T, increments, seed=seed)
+    path = euler_maruyama(sde, init, dt, T, increments, seed=seed)
     g_vals = pr.constraint_kernel(pr.labels)(path.states)["g"]
     g_norm = np.abs(g_vals).max(axis=1)
     path.metadata["sup_constraint_norm"] = float(g_norm.max())

@@ -67,6 +67,16 @@ class TestCheck:
         argv = ["check", str(linear_file), "--box=-1:1,-1:1", "--contraction"]
         assert main(argv + flags) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_out_of_range_tol_exit_1(self, paper_file, capsys, tol):
+        # paper-example is ill-posed on this box (max residual 2.0); a nan
+        # tolerance used to report it as not ill-posed
+        rc = main(["check", str(paper_file), "--box", "-2:2,-5:5", "--grid", "21", "--tol", tol])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert "ill-posed" not in captured.out
+
 
 class TestReduce:
     def test_paper_example_rows_printed(self, paper_file, capsys):
@@ -203,6 +213,32 @@ class TestSolve:
                    "--out", str(tmp_path / "u")])
         assert rc == 0
 
+    @staticmethod
+    def _unit_prob_argv(problem, tmp_path, dt):
+        from sdaekit.expr import to_text
+        from sdaekit.unit_prob import paper_example_spec
+
+        y_file = tmp_path / "y.txt"
+        y_file.write_text("\n".join(to_text(e) for e in paper_example_spec(0.25).y) + "\n")
+        return ["solve", str(problem), "--method", "unit-prob",
+                "--epsilon", "0.25", "--y-file", str(y_file),
+                "--dt", dt, "--t-end", "0.02", "--paths", "2", "--seed", "5",
+                "--out", str(tmp_path / "u")]
+
+    def test_unit_prob_warns_when_x0_is_off_the_characteristic(self, paper_file, tmp_path):
+        # y(u0) = (0, 0) for the arctan characteristic, so x0 = (0.01, 0) is off it
+        problem = tmp_path / "off.sdae"
+        problem.write_text(paper_file.read_text().replace("x = 0.0, 0.0", "x = 0.01, 0.0"))
+        with pytest.warns(UserWarning, match="does not lie on the characteristic"):
+            rc = main(self._unit_prob_argv(problem, tmp_path, "1e-4"))
+        assert rc == 0
+
+    def test_unit_prob_stiffness_warning(self, paper_file, tmp_path):
+        # |B|^2 = 101 at the initial state, so dt = 1e-2 is ten times the budget
+        with pytest.warns(UserWarning, match=r"\|B\|\^2 dt = 1\.01 exceeds 0\.1"):
+            rc = main(self._unit_prob_argv(paper_file, tmp_path, "1e-2"))
+        assert rc == 0
+
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"],
         ["--dt", "nan"],
@@ -233,12 +269,12 @@ class TestSolve:
     def test_solver_linalg_error_exit_4(self, linear_file, tmp_path, capsys, monkeypatch):
         import numpy as np
 
-        from sdaekit import cli
+        from sdaekit import index1
 
         def singular(pr):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(cli, "build_index1_sde", singular)
+        monkeypatch.setattr(index1, "build_index1_sde", singular)
         rc = main(["solve", str(linear_file), "--method", "index1",
                    "--dt", "1e-3", "--t-end", "0.05", "--out", str(tmp_path / "o")])
         assert rc == 4
@@ -311,6 +347,26 @@ class TestVerifyBound:
         out = capsys.readouterr().out
         assert "satisfied" in out
         assert (out_dir / "verify_report.csv").is_file()
+
+    def test_new_target_checks_the_stored_run(self, paper_file, tmp_path, capsys):
+        # the re-executed run keeps the stored gain (b = 11 at 0.5/0.8), so only
+        # the probability columns depend on the new epsilon and alpha
+        import numpy as np
+
+        out_dir = tmp_path / "run"
+        assert main(["solve", str(paper_file), "--method", "bounded",
+                     "--epsilon", "0.5", "--alpha", "0.8", "--box=-2:2,-5:5",
+                     "--dt", "1e-3", "--t-end", "0.05", "--paths", "8", "--seed", "2",
+                     "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        # at 0.3/0.5 the threshold J / (2 eps^2 alpha) is about 44, above the stored gain
+        with pytest.warns(UserWarning, match="gain b = 11 is not above the threshold 44"):
+            assert main(["verify-bound", str(out_dir), "--epsilon", "0.3", "--alpha", "0.5"]) == 0
+        assert "stored gain b = 11, threshold 44" in capsys.readouterr().out
+        stored = np.genfromtxt(out_dir / "report.csv", delimiter=",", names=True)
+        verified = np.genfromtxt(out_dir / "verify_report.csv", delimiter=",", names=True)
+        for column in ("mean_sq_lambda", "bound_curve"):
+            np.testing.assert_array_equal(verified[column], stored[column])
 
 
     @pytest.fixture()
