@@ -85,7 +85,6 @@ class SupTraceResult:
     raw: float  # grid maximum after refinement, no inflation
     inflated: float  # raw times SUP_INFLATION
     argmax_point: np.ndarray
-    grid_per_dim: int
 
 
 @dataclass
@@ -152,7 +151,6 @@ def sup_trace(
         raw=raw,
         inflated=raw * SUP_INFLATION,
         argmax_point=argmax,
-        grid_per_dim=grid_per_dim,
     )
 
 
@@ -310,7 +308,7 @@ def run_bounded_ensemble(
     cfg = resolve_config(pr, cfg)
     sde, init = _stabilised_sde(pr, cfg, mode)
     ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
-    ens.meta.update({"mode": mode.value, "config": cfg})
+    ens.meta["config"] = cfg
     return ens
 
 

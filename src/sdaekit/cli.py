@@ -7,8 +7,9 @@ checks that run against a new epsilon and alpha, keeping its gain b and J.
 All randomness flows from the single --seed flag.  Each method's set-up is
 the library's own, shared with its single-path solver.
 
-Exit codes: 0 success, 1 usage (a malformed command line or a flag value out
-of range), 2 invalid problem, 3 method precondition failed, 4 runtime failure
+Exit codes: 0 success, 1 usage (a malformed command line, a flag value out
+of range, or a flag the chosen run never reads given a value other than its
+default), 2 invalid problem, 3 method precondition failed, 4 runtime failure
 (any other error, numeric ones from inside a solver included).
 """
 
@@ -65,6 +66,32 @@ _GLUED_FLAGS = ("--box", "--y-box")
 
 Box = list[tuple[float, float]]  # (lo, hi) per dimension
 
+# solve flags that one method alone reads: dest -> (that method, default).
+# The parser takes these defaults, and a run of any other method refuses the
+# flag unless it holds its default.  Every other solve flag is read by all.
+_METHOD_FLAGS = {
+    "iterations": ("picard", 100),
+    "tol": ("picard", 1e-10),
+    "y_file": ("unit-prob", None),
+    "y_box": ("unit-prob", None),
+    "y_grid": ("unit-prob", 101),
+    "alpha": ("bounded", None),
+    "box": ("bounded", None),
+    "grid": ("bounded", 101),
+    "b": ("bounded", None),
+    "mode": ("bounded", SolveMode.NEWTON_PER_STEP.value),
+}
+# the flags every method reads; a manifest records these and the method flags
+_COMMON_FLAGS = ("method", "dt", "t_end", "seed", "paths", "save_paths", "epsilon")
+_MANIFEST_KEYS = _COMMON_FLAGS + tuple(_METHOD_FLAGS)
+
+# check flags that one of its two runs alone reads, in the same form
+_CHECK_FLAGS = {
+    "tol": ("ill-posedness", 1e-8),
+    "pairs": ("contraction", 10_000),
+    "norm": ("contraction", "spectral"),
+}
+
 
 class _UsageError(Exception):
     """A flag value the command cannot use (exit code 1)."""
@@ -102,8 +129,17 @@ def _check_epsilon_alpha(epsilon: float | None, alpha: float | None) -> None:
         _require(0 < alpha <= 1, f"--alpha must lie in (0, 1], got {alpha:g}")
 
 
+def _refuse_unread(args, flags: dict, run: str, who: str) -> None:
+    """Refuse a flag of ``flags`` that ``run`` does not read, unless it holds
+    its default; ``who.format(run)`` names the run in the message."""
+    for dest, (reader, default) in flags.items():
+        _require(reader == run or getattr(args, dest) == default,
+                 f"--{dest.replace('_', '-')} is not read by {who.format(run)}")
+
+
 def _check_solve_flags(args) -> None:
-    """Refuse out-of-range solve flags before any work is done."""
+    """Refuse unread and out-of-range solve flags before any work is done."""
+    _refuse_unread(args, _METHOD_FLAGS, args.method, "--method {}")
     _require(math.isfinite(args.dt) and args.dt > 0, f"--dt must be positive, got {args.dt:g}")
     _require(math.isfinite(args.t_end) and args.t_end > 0,
              f"--t-end must be positive, got {args.t_end:g}")
@@ -116,6 +152,13 @@ def _check_solve_flags(args) -> None:
         _require(math.isfinite(args.b) and args.b > 0, f"--b must be positive, got {args.b:g}")
     _require(args.iterations >= 1, f"--iterations must be at least 1, got {args.iterations}")
     _require(math.isfinite(args.tol) and args.tol > 0, f"--tol must be positive, got {args.tol:g}")
+
+
+def _add_flag(p, flags: dict, dest: str, who: str, help: str = "", **kw) -> None:
+    """Add --<dest> with its default from ``flags``; the help names its reader."""
+    reader, default = flags[dest]
+    text = f"read by {who.format(reader)} only" + (f"; {help}" if help else "")
+    p.add_argument(f"--{dest.replace('_', '-')}", default=default, help=text, **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,10 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--box", required=True, help="lo:hi per dimension, comma separated")
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--contraction", action="store_true")
-    p.add_argument("--pairs", type=int, default=10_000)
-    p.add_argument("--norm", choices=["spectral", "rowsum"], default="spectral")
+    p.add_argument("--contraction", action="store_true",
+                   help="run the contraction check instead of the ill-posedness check")
+    _add_flag(p, _CHECK_FLAGS, "tol", "the {} check", type=float)
+    _add_flag(p, _CHECK_FLAGS, "pairs", "the {} check", type=int)
+    _add_flag(p, _CHECK_FLAGS, "norm", "the {} check", choices=["spectral", "rowsum"])
 
     p = sub.add_parser("reduce", help="print stacked constraints after k steps")
     p.add_argument("file")
@@ -154,22 +198,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--save-paths", type=int, default=16,
                    help="number of per-path CSVs to write")
-    # bounded / unit-prob shared
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--box", default=None)
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--mode", choices=[m.value for m in SolveMode],
-                   default=SolveMode.NEWTON_PER_STEP.value)
-    # unit-prob characteristic
-    p.add_argument("--y-file", default=None,
-                   help="file with n expressions in u-variables, one per line")
-    p.add_argument("--y-box", default=None)
-    p.add_argument("--y-grid", type=int, default=101)
-    # picard
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="band half-width of the report's P_viol; required for unit-prob and bounded")
+    method = "--method {}"
+    _add_flag(p, _METHOD_FLAGS, "alpha", method, type=float)
+    _add_flag(p, _METHOD_FLAGS, "box", method,
+              "lo:hi per dimension of x (and of u where sigma reads u), comma separated")
+    _add_flag(p, _METHOD_FLAGS, "grid", method, type=int)
+    _add_flag(p, _METHOD_FLAGS, "b", method, "the gain, chosen from J when not given", type=float)
+    _add_flag(p, _METHOD_FLAGS, "mode", method, choices=[m.value for m in SolveMode])
+    _add_flag(p, _METHOD_FLAGS, "y_file", method,
+              "file with n expressions in u-variables, one per line")
+    _add_flag(p, _METHOD_FLAGS, "y_box", method, "lo:hi per dimension of u, comma separated")
+    _add_flag(p, _METHOD_FLAGS, "y_grid", method, type=int)
+    _add_flag(p, _METHOD_FLAGS, "iterations", method, type=int)
+    _add_flag(p, _METHOD_FLAGS, "tol", method, type=float)
 
     p = sub.add_parser("verify-bound", help="re-execute a stored bounded solve and check it "
                        "against a new epsilon and alpha, keeping the stored gain")
@@ -180,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("builtin", help="print or emit a registered problem")
     p.add_argument("name")
     p.add_argument("--emit", action="store_true")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", help="read with --emit only; default <name>.sdae")
 
     p = sub.add_parser("rerun", help="re-execute a solve from its manifest")
     p.add_argument("manifest")
@@ -216,6 +259,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _refuse_unread(args, _CHECK_FLAGS, "contraction" if args.contraction else "ill-posedness",
+                   "the {} check")
     _require(args.grid >= 1, f"--grid must be at least 1, got {args.grid}")
     _require(args.pairs >= 1, f"--pairs must be at least 1, got {args.pairs}")
     _require(math.isfinite(args.tol) and args.tol > 0, f"--tol must be positive, got {args.tol:g}")
@@ -236,6 +281,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _require(args.steps >= 1, f"--steps must be at least 1, got {args.steps}")
     pr = _load(args.file)
     if pr.constraint_references_u():
         raise MethodPreconditionError(
@@ -280,12 +326,12 @@ def _read_characteristic(args, pr: SdaeProblem) -> CharacteristicSpec:
 
 
 def _solve_boxes(pr: SdaeProblem, args) -> tuple[Box | None, Box | None]:
-    """The boxes the method reads: bounded's --box (x, plus u where sigma
-    reads u) and unit-prob's --y-box (u)."""
+    """The boxes given: bounded's --box (x, plus u where sigma reads u) and
+    unit-prob's --y-box (u); _check_solve_flags refused them for other methods."""
     box = y_box = None
-    if args.method == "bounded" and args.box:
+    if args.box:
         box = _parse_box(args.box, pr.n + pr.m if pr.sigma_references_u() else pr.n)
-    if args.method == "unit-prob" and args.y_box:
+    if args.y_box:
         y_box = _parse_box(args.y_box, pr.m, "--y-box")
     return box, y_box
 
@@ -329,13 +375,6 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
             info["epsilon"] = spec.epsilon
         ens = run_ensemble(sde, init, args.dt, args.t_end, args.paths, args.seed, problem=pr)
     return ens, info
-
-
-_MANIFEST_KEYS = (
-    "method", "dt", "t_end", "seed", "paths", "save_paths",
-    "epsilon", "alpha", "box", "grid", "b", "mode",
-    "y_file", "y_box", "y_grid", "iterations", "tol",
-)
 
 
 def _cmd_solve(args) -> int:
@@ -400,6 +439,7 @@ def _cmd_verify_bound(args) -> int:
         raise MethodPreconditionError(
             "verify-bound needs a run produced by solve --method bounded"
         )
+    _check_solve_flags(ns)
     pr = _load(ns.file)
     ens, _ = _solve_ensemble(pr, ns, *_solve_boxes(pr, ns))
     # the stored b and J with the new target: warns when b is not above its threshold
@@ -419,10 +459,11 @@ def _cmd_verify_bound(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
+    _require(args.emit or args.out is None, "--out is not read by builtin without --emit")
     pr = builtin(args.name)
     text = print_problem(pr)
     if args.emit:
-        out = Path(args.out) if args.out else Path(f"{args.name}.sdae")
+        out = Path(args.out or f"{args.name}.sdae")
         out.write_text(text, encoding="utf-8")
         print(f"wrote {out}")
     else:

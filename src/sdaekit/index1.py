@@ -55,7 +55,6 @@ class Index1Reduction:
     problem: SdaeProblem
     a_symbolic: list[expr.Expression] | None
     b_symbolic: list[list[expr.Expression]] | None
-    singular_guard: float = SINGULAR_TOL
 
     # kernel built by build_index1_reduction: every coefficient piece at once
     _pieces: Callable = field(repr=False, default=None)
@@ -81,7 +80,7 @@ class Index1Reduction:
         with np.errstate(all="ignore"):
             det = np.linalg.det(dug)
             rhs_b = -(dxg @ sig + k["gamma"])
-            ok = np.abs(det) > self.singular_guard
+            ok = np.abs(det) > SINGULAR_TOL
             safe_dug = np.where(ok[..., None, None], dug, _eye(self.problem.m))
             B = np.linalg.solve(safe_dug, rhs_b)
             trace = self._trace(k, B)
@@ -121,7 +120,7 @@ class Index1Reduction:
             with np.errstate(all="ignore"):
                 drift = np.concatenate([k["f"], a], axis=-1)
                 diff = np.concatenate([k["sigma"], B], axis=-2)
-                ok = np.isfinite(det) & (np.abs(det) > self.singular_guard)
+                ok = np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
             return ok, drift, diff
 
         return AugmentedSde(
@@ -156,7 +155,7 @@ def _structurally_zero(block: list[list[expr.Expression]]) -> bool:
     return all(isinstance(e, expr.Constant) and e.value == 0.0 for row in block for e in row)
 
 
-def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Index1Reduction:
+def build_index1_reduction(pr: SdaeProblem) -> Index1Reduction:
     cls = classify(pr)
     if cls.kind is not ProblemKind.INDEX1:
         raise MethodPreconditionError(
@@ -172,7 +171,7 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
     dxg_sym = expr.jacobian(pr.g, x_l)
     dug_sym = expr.jacobian(pr.g, u_l)
 
-    red = Index1Reduction(problem=pr, a_symbolic=None, b_symbolic=None, singular_guard=guard)
+    red = Index1Reduction(problem=pr, a_symbolic=None, b_symbolic=None)
     outputs = {"f": pr.f, "sigma": pr.sigma, "gamma": pr.gamma, "dxg": dxg_sym, "dug": dug_sym}
     for i, gi in enumerate(pr.g):
         keys = []
@@ -204,14 +203,14 @@ def build_index1_reduction(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> Inde
     return red
 
 
-def build_index1_sde(pr: SdaeProblem, guard: float = SINGULAR_TOL) -> AugmentedSde:
+def build_index1_sde(pr: SdaeProblem) -> AugmentedSde:
     """Validate the reduction at the initial point and return the reduced SDE."""
-    red = build_index1_reduction(pr, guard)
+    red = build_index1_reduction(pr)
     _, _, det = red.coefficients(pr.init_point())
-    if not np.isfinite(det) or abs(float(det)) <= guard:
+    if not np.isfinite(det) or abs(float(det)) <= SINGULAR_TOL:
         raise SingularReductionError(
             f"|det D_u g| = {abs(float(det)):.3e} at the initial point "
-            f"(guard {guard:.1e})"
+            f"(guard {SINGULAR_TOL:.1e})"
         )
     return red.sde()
 

@@ -29,7 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 from scipy.special import ndtri
@@ -72,8 +72,8 @@ def wiener_increments(seed: int, steps: int, d: int, dt: float) -> np.ndarray:
     """I.i.d. normal(0, dt) increments, shape (steps, d), fixed by the seed."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if d == 0:
         return np.zeros((steps, 0))
     idx = np.arange(1, steps * d + 1, dtype=np.uint64)
@@ -84,8 +84,8 @@ def wiener_increments(seed: int, steps: int, d: int, dt: float) -> np.ndarray:
 
 
 def n_steps(T: float, dt: float) -> int:
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("T and dt must be positive and finite")
     return int(math.ceil(T / dt - 1e-9))
 
 
@@ -93,7 +93,6 @@ class StatusKind(enum.Enum):
     COMPLETED = "completed"
     DOMAIN_ERROR = "domain-error"
     SINGULAR_REDUCTION = "singular-reduction"
-    REGION_EXIT = "region-exit"
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ class Ensemble:
     dt: float
     T: float
     base_seed: int
-    sde: AugmentedSde | None = None
     problem: SdaeProblem | None = None
     meta: dict = field(default_factory=dict)
 
@@ -187,7 +185,6 @@ _KIND_ORDER = (
     StatusKind.COMPLETED,
     StatusKind.DOMAIN_ERROR,
     StatusKind.SINGULAR_REDUCTION,
-    StatusKind.REGION_EXIT,
 )
 
 
@@ -268,7 +265,6 @@ def _em_batch(
     dt: float,
     steps: int,
     dW: np.ndarray,
-    box: Sequence[tuple[float, float]] | None = None,
 ):
     """Advance a batch of paths; returns (states, stop_index, kind_code, iters).
 
@@ -287,9 +283,6 @@ def _em_batch(
     alive = np.ones(P, dtype=bool)
     iters = None if project is None else np.zeros(P, dtype=np.int64)
     x = init.astype(float)
-    if box is not None:
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
 
     def end(mask, code, k):
         if mask.any():
@@ -299,7 +292,6 @@ def _em_batch(
 
     singular = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
     domain = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
-    region = _KIND_ORDER.index(StatusKind.REGION_EXIT)
     x_next = noise = None
     with np.errstate(all="ignore"):
         for k in range(steps):
@@ -328,9 +320,15 @@ def _em_batch(
                 end(alive & ~converged, domain, k)
                 np.copyto(x[:, n:], u, where=alive[:, None])
             states[:, k + 1] = x
-            if box is not None:
-                end(alive & ((x < lo) | (x > hi)).any(axis=1), region, k + 1)
     return states, stop, kind, iters
+
+
+def _initial_state(sde: AugmentedSde, init) -> np.ndarray:
+    """``init`` as a flat float vector; refuses one whose length is not sde.dim."""
+    init = np.asarray(init, dtype=float).reshape(-1)
+    if init.shape != (sde.dim,):
+        raise ValueError(f"initial condition must have dimension {sde.dim}, got {init.size}")
+    return init
 
 
 def _extract_path(
@@ -367,7 +365,6 @@ def euler_maruyama(
     increments: np.ndarray,
     *,
     seed: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
 ) -> SamplePath:
     """Fixed-step explicit scheme X_{k+1} = X_k + f dt + sigma dW_k."""
     steps = n_steps(T, dt)
@@ -378,11 +375,9 @@ def euler_maruyama(
         raise ValueError(
             f"need at least ceil(T/dt) = {steps} increment rows, got {increments.shape[0]}"
         )
-    init = np.asarray(init, dtype=float).reshape(-1)
-    if init.shape != (sde.dim,):
-        raise ValueError(f"initial condition must have dimension {sde.dim}")
+    init = _initial_state(sde, init)
     dW = increments[:steps][None]
-    states, stop, kind, iters = _em_batch(sde, init[None], dt, steps, dW, box)
+    states, stop, kind, iters = _em_batch(sde, init[None], dt, steps, dW)
     return _extract_path(
         sde, states[0], int(stop[0]), int(kind[0]), dt, dW[0], seed, steps,
         None if iters is None else iters[0],

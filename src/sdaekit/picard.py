@@ -42,10 +42,6 @@ class ContractionReport:
     k_gamma: float
     horizon: float
     satisfied: bool
-    box: list[tuple[float, float]]
-    grid_per_dim: int
-    sample_pairs: int
-    norm: str  # 'spectral' or 'rowsum'
 
     def __str__(self) -> str:
         state = "satisfied" if self.satisfied else "not satisfied"
@@ -122,7 +118,6 @@ def check_contraction(
     return ContractionReport(
         M=M, kf=kf, k_sigma=k_sigma, k_gamma=k_gamma,
         horizon=float(a), satisfied=bool(M < 1.0 and a > 0.0),
-        box=box, grid_per_dim=grid_per_dim, sample_pairs=sample_pairs, norm=norm,
     )
 
 

@@ -13,7 +13,7 @@ so confidence intervals stay honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .integrator import (
     _em_batch,
     _extract_path,
     _g_and_lambda,
+    _initial_state,
     _write_rows,
     derive_seed,
     n_steps,
@@ -45,21 +46,20 @@ def run_ensemble(
     base_seed: int,
     *,
     chunk: int = 256,
-    box: Sequence[tuple[float, float]] | None = None,
     problem: SdaeProblem | None = None,
 ) -> Ensemble:
     """Simulate `paths` trajectories with per-path seeds derived from base_seed."""
     if paths < 1:
         raise ValueError("paths must be >= 1")
     steps = n_steps(T, dt)
-    init = np.asarray(init, dtype=float).reshape(-1)
+    init = _initial_state(sde, init)
     out: list[SamplePath] = []
     for start in range(0, paths, chunk):
         count = min(chunk, paths - start)
         seeds = [derive_seed(base_seed, start + k) for k in range(count)]
         dW = np.stack([wiener_increments(s, steps, sde.d, dt) for s in seeds])
         init_batch = np.tile(init, (count, 1))
-        states, stop, kind, iters = _em_batch(sde, init_batch, dt, steps, dW, box)
+        states, stop, kind, iters = _em_batch(sde, init_batch, dt, steps, dW)
         for k in range(count):
             out.append(
                 _extract_path(
@@ -72,7 +72,6 @@ def run_ensemble(
         dt=dt,
         T=T,
         base_seed=base_seed,
-        sde=sde,
         problem=problem if problem is not None else sde.problem,
     )
 

@@ -93,7 +93,6 @@ def validate_characteristic(
     spec: CharacteristicSpec,
     box=None,
     grid_per_dim: int = 101,
-    v_init: np.ndarray | None = None,
 ) -> None:
     """Grid-check the eps-band and the invertibility of (Dg)(D_v y)."""
     if len(spec.y) != pr.n:
@@ -112,10 +111,9 @@ def validate_characteristic(
         box = [(-10.0, 10.0)] * pr.m
     composed = _composed_kernel(pr, spec)
     pts = grid_points(list(box), grid_per_dim)
-    v0 = pr.u0_guess if v_init is None else np.asarray(v_init, dtype=float)
     with np.errstate(all="ignore"):
         vals = composed(pts)["z"]
-        jac0 = composed(v0)["jac"]
+        jac0 = composed(pr.u0_guess)["jac"]
     norms = np.abs(vals).max(axis=1)
     if not np.isfinite(norms).all():
         worst = pts[int(np.argmax(~np.isfinite(norms)))]

@@ -78,6 +78,25 @@ class TestCheck:
         assert "ill-posed" not in captured.out
 
 
+    @pytest.mark.parametrize("flags, run", [
+        (["--contraction", "--tol", "1e-6"], "contraction"),
+        (["--pairs", "50"], "ill-posedness"),
+        (["--norm", "rowsum"], "ill-posedness"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_unread_flag_exit_1(self, linear_file, capsys, flags, run):
+        assert main(["check", str(linear_file), "--box=-1:1,-1:1", *flags]) == 1
+        captured = capsys.readouterr()
+        flag = next(f for f in flags if f != "--contraction")
+        assert f"{flag} is not read by the {run} check" in captured.err
+        assert captured.out == ""
+
+    def test_read_flags_accepted(self, linear_file, paper_file):
+        assert main(["check", str(linear_file), "--box=-1:1,-1:1", "--grid", "3",
+                     "--contraction", "--pairs", "50", "--norm", "rowsum"]) == 0
+        assert main(["check", str(paper_file), "--box=-2:2,-5:5", "--grid", "3",
+                     "--tol", "1e-6"]) == 0
+
+
 class TestReduce:
     def test_paper_example_rows_printed(self, paper_file, capsys):
         assert main(["reduce", str(paper_file), "--steps", "1"]) == 0
@@ -88,6 +107,13 @@ class TestReduce:
 
     def test_index1_input_is_exit_3(self, linear_file):
         assert main(["reduce", str(linear_file), "--steps", "1"]) == 3
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_out_of_range_steps_exit_1(self, paper_file, capsys, steps):
+        assert main(["reduce", str(paper_file), "--steps", steps]) == 1
+        captured = capsys.readouterr()
+        assert "--steps must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 class TestSolve:
@@ -412,6 +438,162 @@ class TestBuiltin:
         assert main(["builtin", "cooling"]) == 0
         assert "[dims]" in capsys.readouterr().out
 
+    def test_out_without_emit_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "cooling.sdae"
+        assert main(["builtin", "cooling", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--out is not read by builtin without --emit" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_usage_error_exit_1(self):
         assert main(["solve"]) == 1
         assert main([]) == 1
+
+
+# a value other than the default for each method flag; the refusal comes
+# before the problem or --y-file is read, so none of these need to exist
+_NON_DEFAULT = {
+    "iterations": "7", "tol": "1e-6",
+    "y_file": "y.txt", "y_box": "-1:1", "y_grid": "3",
+    "alpha": "0.3", "box": "-1:1", "grid": "5", "b": "5", "mode": "lemma1-reduction",
+}
+
+
+# the flags that one method alone reads; every other solve flag is read by all
+_OWN_FLAGS = {
+    "index1": (),
+    "picard": ("iterations", "tol"),
+    "unit-prob": ("y_file", "y_box", "y_grid"),
+    "bounded": ("alpha", "box", "grid", "b", "mode"),
+}
+
+
+def _solve_parser():
+    import argparse
+
+    from sdaekit.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["solve"]
+
+
+class TestUnreadFlags:
+    def test_every_solve_flag_is_recorded_and_has_its_readers(self):
+        from sdaekit.cli import _COMMON_FLAGS, _MANIFEST_KEYS, _METHOD_FLAGS
+
+        parser = _solve_parser()
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out"}
+        assert flags == set(_MANIFEST_KEYS)
+        assert len(_MANIFEST_KEYS) == len(set(_MANIFEST_KEYS)) == 17
+        assert set(parser._option_string_actions["--method"].choices) == set(_OWN_FLAGS)
+        for dest in flags:
+            assert (dest in _COMMON_FLAGS) != (dest in _METHOD_FLAGS), dest
+        for dest, (method, default) in _METHOD_FLAGS.items():
+            assert dest in _OWN_FLAGS[method], dest
+            assert parser.get_default(dest) == default, dest
+        assert set(_NON_DEFAULT) == set(_METHOD_FLAGS)
+
+    @pytest.mark.parametrize("method, dest", [
+        (method, dest)
+        for method, own in _OWN_FLAGS.items()
+        for dest in _NON_DEFAULT
+        if dest not in own
+    ])
+    def test_unread_flag_exit_1(self, linear_file, tmp_path, capsys, method, dest):
+        flag = "--" + dest.replace("_", "-")
+        rc = main(["solve", str(linear_file), "--method", method, "--dt", "1e-3",
+                   "--t-end", "0.05", f"{flag}={_NON_DEFAULT[dest]}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"{flag} is not read by --method {method}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_default_values_of_unread_flags_are_accepted(self, linear_file, tmp_path):
+        rc = main(["solve", str(linear_file), "--method", "index1", "--dt", "1e-3",
+                   "--t-end", "0.01", "--iterations", "100", "--tol", "1e-10",
+                   "--grid", "101", "--mode", "newton-per-step", "--y-grid", "101",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+
+    def test_picard_reads_its_flags(self, tmp_path):
+        src = tmp_path / "c.sdae"
+        src.write_text(
+            "[dims]\nn=1 m=1 p=1 d=1\n[drift]\nx1\n[diffusion]\n0.1\n"
+            "[constraint]\n0.25*x1 + 0.5*u1\n[constraint_noise]\n0\n"
+            "[initial]\nx = 0\nu = 0\n"
+        )
+        out = tmp_path / "p"
+        assert main(["solve", str(src), "--method", "picard", "--dt", "1e-3",
+                     "--t-end", "0.05", "--iterations", "50", "--tol", "1e-9",
+                     "--out", str(out)]) == 0
+        args = json.loads((out / "manifest.json").read_text())["args"]
+        assert (args["iterations"], args["tol"]) == (50, 1e-9)
+
+    def test_unit_prob_reads_its_flags(self, paper_file, tmp_path):
+        from sdaekit.expr import to_text
+        from sdaekit.unit_prob import paper_example_spec
+
+        y_file = tmp_path / "y.txt"
+        y_file.write_text("\n".join(to_text(e) for e in paper_example_spec(0.25).y) + "\n")
+        out = tmp_path / "u"
+        assert main(["solve", str(paper_file), "--method", "unit-prob", "--epsilon", "0.25",
+                     "--y-file", str(y_file), "--y-box=-1:1", "--y-grid", "11",
+                     "--dt", "1e-4", "--t-end", "0.01", "--out", str(out)]) == 0
+        args = json.loads((out / "manifest.json").read_text())["args"]
+        assert (args["y_box"], args["y_grid"]) == ("-1:1", 11)
+
+    def test_bounded_reads_its_flags(self, paper_file, tmp_path):
+        out = tmp_path / "b"
+        assert main(["solve", str(paper_file), "--method", "bounded", "--epsilon", "0.5",
+                     "--alpha", "0.8", "--box=-2:2,-5:5", "--grid", "21", "--b", "12",
+                     "--mode", "lemma1-reduction", "--dt", "1e-3", "--t-end", "0.01",
+                     "--out", str(out)]) == 0
+        args = json.loads((out / "manifest.json").read_text())["args"]
+        assert (args["grid"], args["b"], args["mode"]) == (21, 12.0, "lemma1-reduction")
+
+    @pytest.mark.parametrize("method, flags", [
+        ("bounded", ["--alpha", "2"]),
+        ("bounded", ["--grid", "0"]),
+        ("bounded", ["--b", "0"]),
+        ("unit-prob", ["--y-grid", "0"]),
+        ("picard", ["--iterations", "0"]),
+        ("picard", ["--tol", "nan"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_out_of_range_read_flag_exit_1(self, paper_file, tmp_path, capsys, method, flags):
+        rc = main(["solve", str(paper_file), "--method", method, "--dt", "1e-3",
+                   "--t-end", "0.05", "--epsilon", "0.5", *flags, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flags[0] in err and "not read" not in err
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def _edit_args(run_dir, **changes):
+        manifest_path = run_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["args"].update(changes)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return manifest_path
+
+    def test_rerun_refuses_a_stored_unread_flag(self, linear_file, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["solve", str(linear_file), "--method", "index1", "--dt", "1e-3",
+                     "--t-end", "0.01", "--out", str(run)]) == 0
+        manifest_path = self._edit_args(run, iterations=7)
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path), "--out", str(tmp_path / "r")]) == 1
+        assert "--iterations is not read by --method index1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_verify_bound_refuses_a_stored_unread_flag(self, paper_file, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["solve", str(paper_file), "--method", "bounded", "--epsilon", "0.5",
+                     "--alpha", "0.8", "--box=-2:2,-5:5", "--dt", "1e-3", "--t-end", "0.01",
+                     "--out", str(run)]) == 0
+        self._edit_args(run, y_grid=3)
+        capsys.readouterr()
+        assert main(["verify-bound", str(run), "--epsilon", "0.5", "--alpha", "0.8"]) == 1
+        assert "--y-grid is not read by --method bounded" in capsys.readouterr().err
+        assert not (run / "verify_report.csv").exists()

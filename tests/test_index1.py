@@ -254,15 +254,16 @@ class TestPreconditions:
 
 
 def test_guard_trips_mid_integration():
-    # g = u1^2 - x1 drives u = sqrt(1 - t) through the guard as det D_u g = 2u decays
+    # g = 1e-7*(u1^2 - x1) drives u = sqrt(1 - t) through the guard as
+    # det D_u g = 2e-7*u decays past SINGULAR_TOL = 1e-8 at u = 0.05
     pr = SdaeProblem(
         n=1, m=1, p=1, d=1,
         f=[parse("-1")], sigma=[[parse("0")]],
-        g=[parse("u1^2 - x1")], gamma=[[parse("0")]],
+        g=[parse("1e-7*(u1^2 - x1)")], gamma=[[parse("0")]],
         x0=[1.0], u0_guess=[1.0],
     )
-    sde = build_index1_reduction(pr, guard=0.1).sde()
+    sde = build_index1_reduction(pr).sde()
     path = euler_maruyama(sde, pr.init_point(), 1e-3, 2.0, np.zeros((2000, 1)))
     assert path.status.kind.value == "singular-reduction"
-    # truncated just as 2*u crossed the guard
+    # truncated just as 2*u crossed 0.1, where det D_u g crosses the guard
     assert abs(2.0 * path.column("u1")[-1]) <= 0.1 + 1e-3

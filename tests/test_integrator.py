@@ -71,6 +71,16 @@ class TestWiener:
             wiener_increments(1, 0, 1, 0.1)
         with pytest.raises(ValueError):
             wiener_increments(1, 5, 1, 0.0)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                wiener_increments(1, 3, 1, dt)
+
+    @pytest.mark.parametrize("T, dt", [
+        (1.0, math.nan), (math.nan, 0.1), (1.0, -0.1), (math.inf, 0.1), (1.0, math.inf),
+    ])
+    def test_n_steps_rejects_nan_inf_and_nonpositive(self, T, dt):
+        with pytest.raises(ValueError, match="T and dt must be positive and finite"):
+            n_steps(T, dt)
 
 
 class TestEulerMaruyama:
@@ -130,11 +140,11 @@ class TestEulerMaruyama:
         assert path.status.kind is StatusKind.SINGULAR_REDUCTION
         assert path.states[-1, 0] < 0.45
 
-    def test_region_exit(self):
-        sde = const_sde(1, 0, [1.0], np.zeros((1, 0)))
-        path = euler_maruyama(sde, [0.0], 0.1, 1.0, np.zeros((10, 0)), box=[(-0.5, 0.55)])
-        assert path.status.kind is StatusKind.REGION_EXIT
-        assert path.states[-1, 0] > 0.55  # exit state retained
+    @pytest.mark.parametrize("init", [[0.0, 0.0, 0.0], [0.0]], ids=["3", "1"])
+    def test_initial_state_length_rejected(self, init):
+        sde = const_sde(2, 1, [0.0, 0.0], [[1.0], [0.0]])
+        with pytest.raises(ValueError, match="must have dimension 2, got"):
+            euler_maruyama(sde, init, 0.1, 1.0, np.zeros((10, 1)))
 
     def test_insufficient_increments_rejected(self):
         sde = const_sde(1, 1, [0.0], [[1.0]])

@@ -8,6 +8,7 @@ import pytest
 
 from sdaekit.bounded import BoundedMConfig, run_bounded_ensemble
 from sdaekit.expr import parse
+from sdaekit.index1 import index1_setup
 from sdaekit.integrator import AugmentedSde, Ensemble, derive_seed
 from sdaekit.problem import SdaeProblem, builtin
 from sdaekit.stats import run_ensemble, violation_stats, write_report_csv
@@ -58,6 +59,14 @@ class TestRunEnsemble:
         ens = run_ensemble(sde, [1.5], 0.1, 1.0, 3, base_seed=0)
         for p in ens.paths:
             np.testing.assert_array_equal(p.states, 1.5)
+
+
+    @pytest.mark.parametrize("init", [[0.0, 0.0, 0.0], [0.0]], ids=["3", "1"])
+    def test_initial_state_length_rejected(self, init):
+        # linear-index1 reduces to a 2-dimensional SDE on (x1, u1)
+        sde, _ = index1_setup(builtin("linear-index1"))
+        with pytest.raises(ValueError, match="must have dimension 2, got"):
+            run_ensemble(sde, init, 0.01, 0.1, 2, base_seed=0)
 
 
 class TestViolationStats:
