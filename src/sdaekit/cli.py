@@ -488,11 +488,20 @@ def _check_run_inputs(manifest: dict, problem_file: Path) -> None:
 
 def _stored_solve(manifest_path: Path) -> argparse.Namespace:
     """The flags of the solve a manifest records, with its problem file and
-    base seed, once its tool version and problem hash are checked."""
+    base seed, once its tool version and problem hash are checked and it is
+    known to record every solve flag and the base seed."""
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if manifest.get("subcommand") != "solve":
         raise MethodPreconditionError("manifest does not describe a solve run")
-    ns = argparse.Namespace(**manifest["args"])
+    stored = manifest.get("args")
+    if not isinstance(stored, dict):
+        raise MethodPreconditionError("manifest records no solve args")
+    missing = [key for key in _MANIFEST_KEYS if key not in stored]
+    if "base_seed" not in manifest:
+        missing.append("base_seed")
+    if missing:
+        raise MethodPreconditionError(f"manifest does not record {', '.join(missing)}")
+    ns = argparse.Namespace(**stored)
     ns.file = str(manifest_path.parent / "problem.sdae")
     _check_run_inputs(manifest, Path(ns.file))
     ns.seed = manifest["base_seed"]

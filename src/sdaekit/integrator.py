@@ -144,12 +144,19 @@ class AugmentedSde:
 
 @dataclass
 class SamplePath:
-    """One realisation on a uniform grid; possibly truncated with a status."""
+    """One realisation on a uniform grid; possibly truncated with a status.
+
+    On a path from the engine (``euler_maruyama``, ``run_ensemble``),
+    ``states`` and ``dW`` are views into the engine's chunk buffers, one row
+    per path, so no two paths overlap; ``t_grid`` is a read-only prefix of
+    one grid shared by every path of the run.  Keeping one path alive keeps
+    its chunk's buffers alive.
+    """
 
     dt: float
-    t_grid: np.ndarray  # (k+1,), t_grid[i] = i*dt
-    states: np.ndarray  # (k+1, dim)
-    dW: np.ndarray  # (k, d) increments actually consumed
+    t_grid: np.ndarray  # (k+1,), t_grid[i] = i*dt; shared and read-only
+    states: np.ndarray  # (k+1, dim), a view of the path's row of its chunk
+    dW: np.ndarray  # (k, d) increments actually consumed, a view like states
     seed: int | None
     status: PathStatus
     labels: tuple[str, ...]
@@ -164,7 +171,12 @@ class SamplePath:
 
 @dataclass
 class Ensemble:
-    """Paths sharing dt, horizon and generator, with per-path derived seeds."""
+    """Paths sharing dt, horizon and generator, with per-path derived seeds.
+
+    The ensemble holds each chunk's state and noise buffers once: its paths
+    are views into them (see ``SamplePath``) and share one read-only time
+    grid.  A path kept after the ensemble is dropped keeps its whole chunk.
+    """
 
     paths: list[SamplePath]
     dt: float
@@ -331,25 +343,35 @@ def _initial_state(sde: AugmentedSde, init) -> np.ndarray:
     return init
 
 
+def _time_grid(steps: int, dt: float) -> np.ndarray:
+    """Read-only grid t[i] = i*dt, i = 0..steps; every path of a run slices it."""
+    t_grid = np.arange(steps + 1, dtype=float) * dt
+    t_grid.flags.writeable = False
+    return t_grid
+
+
 def _extract_path(
     sde: AugmentedSde,
     states: np.ndarray,
     stop: int,
     kind_code: int,
     dt: float,
+    t_grid: np.ndarray,
     dW: np.ndarray,
     seed: int | None,
-    steps: int,
     iters: int | None = None,
 ) -> SamplePath:
+    """One path as views: its own row of the batch's ``states`` and ``dW``
+    and a prefix of the shared ``t_grid`` (of steps + 1 points)."""
+    steps = t_grid.shape[0] - 1
     kind = _KIND_ORDER[kind_code]
     last = stop if kind is not StatusKind.COMPLETED else steps
     status = PathStatus(kind, None if kind is StatusKind.COMPLETED else int(stop))
     return SamplePath(
         dt=dt,
-        t_grid=np.arange(last + 1, dtype=float) * dt,
-        states=states[: last + 1].copy(),
-        dW=dW[:last].copy(),
+        t_grid=t_grid[: last + 1],
+        states=states[: last + 1],
+        dW=dW[:last],
         seed=seed,
         status=status,
         labels=sde.labels,
@@ -376,10 +398,10 @@ def euler_maruyama(
             f"need at least ceil(T/dt) = {steps} increment rows, got {increments.shape[0]}"
         )
     init = _initial_state(sde, init)
-    dW = increments[:steps][None]
+    dW = increments[None, :steps].copy()  # the path must not alias the caller's array
     states, stop, kind, iters = _em_batch(sde, init[None], dt, steps, dW)
     return _extract_path(
-        sde, states[0], int(stop[0]), int(kind[0]), dt, dW[0], seed, steps,
+        sde, states[0], int(stop[0]), int(kind[0]), dt, _time_grid(steps, dt), dW[0], seed,
         None if iters is None else iters[0],
     )
 

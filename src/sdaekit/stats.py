@@ -4,7 +4,14 @@ Paths are advanced in lockstep across the batch (one numpy step loop), while
 each path's increments come from its own derived seed, so ensembles are
 bit-for-bit reproducible and independent of chunking or thread counts.
 Per-time statistics sum over paths in sorted order, which makes every report
-invariant under path permutation at the bit level.
+invariant under path permutation at the bit level.  ``violation_stats`` holds
+one (paths, times) array of |lambda|^2 and one per constraint component of g,
+and per-time alive and violation counts as exact integer vectors.  Each
+array is sorted in place along the path axis, its NaNs (times after a path's
+truncation) are set to 0 and its columns summed; the |lambda|^2 array is then
+squared in place and summed again, since squaring keeps the order of
+non-negative values.  The sums therefore see the same values in the same
+order as a sorted copy would, bit for bit.
 
 Truncated paths contribute while alive; the alive count is reported per time
 so confidence intervals stay honest.
@@ -25,6 +32,7 @@ from .integrator import (
     _extract_path,
     _g_and_lambda,
     _initial_state,
+    _time_grid,
     _write_rows,
     derive_seed,
     n_steps,
@@ -53,17 +61,20 @@ def run_ensemble(
         raise ValueError("paths must be >= 1")
     steps = n_steps(T, dt)
     init = _initial_state(sde, init)
+    t_grid = _time_grid(steps, dt)
     out: list[SamplePath] = []
     for start in range(0, paths, chunk):
         count = min(chunk, paths - start)
         seeds = [derive_seed(base_seed, start + k) for k in range(count)]
-        dW = np.stack([wiener_increments(s, steps, sde.d, dt) for s in seeds])
+        dW = np.empty((count, steps, sde.d))
+        for k, s in enumerate(seeds):
+            dW[k] = wiener_increments(s, steps, sde.d, dt)
         init_batch = np.tile(init, (count, 1))
         states, stop, kind, iters = _em_batch(sde, init_batch, dt, steps, dW)
         for k in range(count):
             out.append(
                 _extract_path(
-                    sde, states[k], int(stop[k]), int(kind[k]), dt, dW[k], seeds[k], steps,
+                    sde, states[k], int(stop[k]), int(kind[k]), dt, t_grid, dW[k], seeds[k],
                     None if iters is None else iters[k],
                 )
             )
@@ -94,9 +105,16 @@ class ViolationReport:
     truncated_paths: int
 
 
-def _sorted_nansum(matrix: np.ndarray) -> np.ndarray:
-    """Column sums that are bitwise invariant under row permutation."""
-    return np.nansum(np.sort(matrix, axis=0), axis=0)
+def _sorted_sum(matrix: np.ndarray) -> np.ndarray:
+    """Column sums, NaN as 0, that are bitwise invariant under row permutation.
+
+    Sorts ``matrix`` in place along axis 0 (NaN last) and zeroes its NaNs, so
+    it sums the very array ``np.nansum(np.sort(matrix, axis=0), axis=0)``
+    would, without the two copies.
+    """
+    matrix.sort(axis=0)
+    np.copyto(matrix, 0.0, where=np.isnan(matrix))
+    return matrix.sum(axis=0)
 
 
 def violation_stats(
@@ -113,19 +131,17 @@ def violation_stats(
     K = max(len(path) for path in ens.paths) - 1
     P = len(ens.paths)
     lam_sq = np.full((P, K + 1), np.nan)
-    viol = np.zeros((P, K + 1), dtype=np.int64)
-    alive_mask = np.zeros((P, K + 1), dtype=bool)
-    g_vals = np.full((P, K + 1, pr.p), np.nan)
+    g_vals = np.full((pr.p, P, K + 1), np.nan)  # one C-contiguous block per component
+    alive = np.zeros(K + 1, dtype=np.int64)
+    counts = np.zeros(K + 1, dtype=np.int64)
     for i, path in enumerate(ens.paths):
         g, lam = _g_and_lambda(pr, path)
         k = len(path)
         norms = np.linalg.norm(lam, axis=1)
         lam_sq[i, :k] = norms**2
-        viol[i, :k] = norms > epsilon
-        alive_mask[i, :k] = True
-        g_vals[i, :k] = g
-    alive = alive_mask.sum(axis=0)
-    counts = viol.sum(axis=0)
+        counts[:k] += norms > epsilon
+        alive[:k] += 1
+        g_vals[:, i, :k] = g.T
     with np.errstate(invalid="ignore", divide="ignore"):
         phat = counts / alive
         denom = 1.0 + _Z95**2 / alive
@@ -135,13 +151,12 @@ def violation_stats(
             * np.sqrt(phat * (1 - phat) / alive + _Z95**2 / (4 * alive**2))
             / denom
         )
-        mean_sq = _sorted_nansum(lam_sq) / alive
-        sq_of_sq = _sorted_nansum(lam_sq**2) / alive
+        mean_sq = _sorted_sum(lam_sq) / alive
+        # squaring keeps the sorted order of non-negatives and the zeroed NaNs
+        sq_of_sq = np.square(lam_sq, out=lam_sq).sum(axis=0) / alive
         var_sq = np.maximum(sq_of_sq - mean_sq**2, 0.0)
         se = np.sqrt(var_sq / np.maximum(alive, 1))
-        mean_g = np.stack(
-            [_sorted_nansum(g_vals[:, :, j]) / alive for j in range(pr.p)], axis=1
-        )
+        mean_g = np.stack([_sorted_sum(g_vals[j]) / alive for j in range(pr.p)], axis=1)
     t_grid = np.arange(K + 1, dtype=float) * ens.dt
     bound = None
     if b is not None and J is not None:

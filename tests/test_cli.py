@@ -193,6 +193,23 @@ class TestSolve:
         assert "0.0.0-other" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "drop, named",
+        [("grid", "grid"), ("args", "no solve args"), ("base_seed", "base_seed")],
+    )
+    def test_rerun_refuses_incomplete_manifest_exit_3(self, index1_run, tmp_path, capsys, drop, named):
+        manifest_path = index1_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if drop in manifest:
+            del manifest[drop]
+        else:
+            del manifest["args"][drop]
+        manifest_path.write_text(json.dumps(manifest))
+        rc = main(["rerun", str(manifest_path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_manifest_records_no_threads(self, index1_run):
         manifest = json.loads((index1_run / "manifest.json").read_text())
         assert "threads" not in manifest["args"]
@@ -426,6 +443,17 @@ class TestVerifyBound:
         rc = main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "0.8"])
         assert rc == 3
         assert "0.0.0-other" in capsys.readouterr().err
+        assert not (bounded_run / "verify_report.csv").exists()
+
+    def test_refuses_manifest_missing_keys_exit_3(self, bounded_run, capsys):
+        manifest_path = bounded_run / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["args"]["mode"], manifest["args"]["b"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["verify-bound", str(bounded_run), "--epsilon", "0.5", "--alpha", "0.8"])
+        assert rc == 3
+        assert "manifest does not record b, mode" in capsys.readouterr().err
         assert not (bounded_run / "verify_report.csv").exists()
 
 

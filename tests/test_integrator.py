@@ -146,6 +146,15 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError, match="must have dimension 2, got"):
             euler_maruyama(sde, init, 0.1, 1.0, np.zeros((10, 1)))
 
+    def test_path_does_not_alias_caller_increments(self):
+        sde = const_sde(1, 1, [0.0], [[1.0]])
+        inc = wiener_increments(5, 10, 1, 0.1)
+        path = euler_maruyama(sde, [0.0], 0.1, 1.0, inc)
+        kept = path.dW.copy()
+        inc[:] = 7.0
+        assert not np.shares_memory(path.dW, inc)
+        assert path.dW.tobytes() == kept.tobytes()
+
     def test_insufficient_increments_rejected(self):
         sde = const_sde(1, 1, [0.0], [[1.0]])
         with pytest.raises(ValueError):

@@ -1,17 +1,35 @@
 """Ensemble determinism, exchangeability, and the violation report."""
 
+import dataclasses
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdaekit.bounded import BoundedMConfig, run_bounded_ensemble
+from sdaekit.bounded import BoundedMConfig, run_bounded_ensemble, verify_bound
 from sdaekit.expr import parse
 from sdaekit.index1 import index1_setup
-from sdaekit.integrator import AugmentedSde, Ensemble, derive_seed
+from sdaekit.integrator import (
+    AugmentedSde,
+    Ensemble,
+    PathStatus,
+    SamplePath,
+    StatusKind,
+    _g_and_lambda,
+    derive_seed,
+)
 from sdaekit.problem import SdaeProblem, builtin
-from sdaekit.stats import run_ensemble, violation_stats, write_report_csv
+from sdaekit.stats import (
+    _Z95,
+    ViolationReport,
+    run_ensemble,
+    violation_stats,
+    write_report_csv,
+)
 
 
 def drifting_sde(rate=0.0, noise=1.0, labels=("x1",)):
@@ -67,6 +85,63 @@ class TestRunEnsemble:
         sde, _ = index1_setup(builtin("linear-index1"))
         with pytest.raises(ValueError, match="must have dimension 2, got"):
             run_ensemble(sde, init, 0.01, 0.1, 2, base_seed=0)
+
+
+class TestEnsembleViews:
+    """Paths are views into their chunk's buffers and share one time grid."""
+
+    def test_paths_are_disjoint_rows_of_their_chunk(self):
+        ens = run_ensemble(drifting_sde(), [0.0], 0.01, 0.5, 6, base_seed=4, chunk=3)
+        chunks = [ens.paths[:3], ens.paths[3:]]
+        for chunk, other in (chunks, chunks[::-1]):
+            for attr in ("states", "dW"):
+                buffer = getattr(chunk[0], attr).base
+                assert all(np.shares_memory(getattr(p, attr), buffer) for p in chunk)
+                assert not any(np.shares_memory(getattr(p, attr), buffer) for p in other)
+        for i, a in enumerate(ens.paths):
+            for b in ens.paths[i + 1:]:
+                assert not np.shares_memory(a.states, b.states)
+                assert not np.shares_memory(a.dW, b.dW)
+
+    def test_writing_one_path_leaves_the_next(self):
+        ens = run_ensemble(drifting_sde(), [0.0], 0.01, 0.5, 3, base_seed=4)
+        kept = ens.paths[1].states.copy()
+        ens.paths[0].states[:] = 99.0
+        assert ens.paths[1].states.tobytes() == kept.tobytes()
+
+    def test_one_read_only_time_grid(self):
+        sde = drifting_sde(rate=1.0, noise=0.3)
+        sde.guard = lambda x: x[:, 0] < 0.45  # paths of several lengths
+        ens = run_ensemble(sde, [0.0], 0.1, 1.0, 8, base_seed=2, chunk=3)
+        assert len({len(p) for p in ens.paths}) > 1
+        grid = ens.paths[0].t_grid
+        for p in ens.paths:
+            assert not p.t_grid.flags.writeable
+            assert p.t_grid.base is grid.base
+            np.testing.assert_array_equal(p.t_grid, np.arange(len(p)) * 0.1)
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+
+def test_memory_budget():
+    """No per-path copies while integrating; statistics within (p + 2) arrays."""
+    pr = builtin("paper-example")
+    cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2, 2), (-5, 5)], b=11.0, J_raw=4.0)
+    verify_bound(run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 2, 0, chunk=16), cfg)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ens = run_bounded_ensemble(pr, cfg, 1e-3, 1.0, 64, 5, chunk=16)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - base <= 1.05 * (held - base)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        verify_bound(ens, cfg)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    K = max(len(p) for p in ens.paths) - 1
+    assert extra <= (pr.p + 2) * len(ens.paths) * (K + 1) * 8
 
 
 class TestViolationStats:
@@ -190,3 +265,119 @@ def test_report_csv_bytes_match_per_cell_formatter(with_bound):
     _per_cell_report_csv(rep, want)
     write_report_csv(rep, got)
     assert got.getvalue() == want.getvalue()
+
+
+def _reference_violation_stats(pr, ens, epsilon, *, b=None, J=None):
+    """violation_stats before its in-place sorted sums, kept as the bitwise
+    reference: per-path masks and np.nansum over sorted copies."""
+    K = max(len(path) for path in ens.paths) - 1
+    P = len(ens.paths)
+    lam_sq = np.full((P, K + 1), np.nan)
+    viol = np.zeros((P, K + 1), dtype=np.int64)
+    alive_mask = np.zeros((P, K + 1), dtype=bool)
+    g_vals = np.full((P, K + 1, pr.p), np.nan)
+    for i, path in enumerate(ens.paths):
+        g, lam = _g_and_lambda(pr, path)
+        k = len(path)
+        norms = np.linalg.norm(lam, axis=1)
+        lam_sq[i, :k] = norms**2
+        viol[i, :k] = norms > epsilon
+        alive_mask[i, :k] = True
+        g_vals[i, :k] = g
+    alive = alive_mask.sum(axis=0)
+    counts = viol.sum(axis=0)
+
+    def sorted_nansum(matrix):
+        return np.nansum(np.sort(matrix, axis=0), axis=0)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phat = counts / alive
+        denom = 1.0 + _Z95**2 / alive
+        center = (phat + _Z95**2 / (2 * alive)) / denom
+        half = (
+            _Z95
+            * np.sqrt(phat * (1 - phat) / alive + _Z95**2 / (4 * alive**2))
+            / denom
+        )
+        mean_sq = sorted_nansum(lam_sq) / alive
+        sq_of_sq = sorted_nansum(lam_sq**2) / alive
+        var_sq = np.maximum(sq_of_sq - mean_sq**2, 0.0)
+        se = np.sqrt(var_sq / np.maximum(alive, 1))
+        mean_g = np.stack(
+            [sorted_nansum(g_vals[:, :, j]) / alive for j in range(pr.p)], axis=1
+        )
+    t_grid = np.arange(K + 1, dtype=float) * ens.dt
+    bound = None
+    if b is not None and J is not None:
+        bound = J * (1.0 - np.exp(-2.0 * b * t_grid)) / (2.0 * b)
+    completed = sum(1 for path in ens.paths if path.status.completed)
+    return ViolationReport(
+        t_grid=t_grid,
+        alive=alive,
+        empirical_p=phat,
+        wilson_lo=np.minimum(np.maximum(center - half, 0.0), phat),
+        wilson_hi=np.maximum(np.minimum(center + half, 1.0), phat),
+        mean_sq_lambda=mean_sq,
+        se_mean_sq=se,
+        mean_g=mean_g,
+        bound_curve=bound,
+        epsilon=epsilon,
+        completed_paths=completed,
+        truncated_paths=P - completed,
+    )
+
+
+_EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+
+@st.composite
+def hand_built_ensembles(draw):
+    """Paths of mixed lengths whose states are g itself (g_i = x_i), with
+    nan, +-inf and signed zeros; lambda adds 0.5 * cumsum(dW) when noisy."""
+    p = draw(st.sampled_from([1, 2]))
+    noisy = draw(st.booleans())
+    steps = draw(st.integers(1, 6))
+    labels = tuple(f"x{i + 1}" for i in range(p))
+    pr = SdaeProblem(
+        n=p, m=1, p=p, d=1,
+        f=[parse("0")] * p, sigma=[[parse("1")]] * p,
+        g=[parse(x) for x in labels], gamma=[[parse("0.5" if noisy else "0")]] * p,
+        x0=[0.0] * p, u0_guess=[0.0],
+    )
+    value = st.one_of(_EDGE_VALUES, st.floats(-4.0, 4.0))
+    paths = []
+    for k in draw(st.lists(st.integers(1, steps + 1), min_size=1, max_size=10)):
+        states = np.array(draw(st.lists(value, min_size=k * p, max_size=k * p)))
+        dW = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k - 1, max_size=k - 1)))
+        status = (
+            PathStatus(StatusKind.COMPLETED) if k == steps + 1
+            else PathStatus(StatusKind.DOMAIN_ERROR, k - 1)
+        )
+        paths.append(SamplePath(
+            dt=0.1, t_grid=np.arange(k) * 0.1, states=states.reshape(k, p),
+            dW=dW.reshape(k - 1, 1), seed=None, status=status, labels=labels,
+        ))
+    return pr, Ensemble(paths=paths, dt=0.1, T=steps * 0.1, base_seed=0, problem=pr)
+
+
+def _assert_bitwise_equal(got: ViolationReport, want: ViolationReport) -> None:
+    for f in dataclasses.fields(ViolationReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=hand_built_ensembles(), epsilon=st.sampled_from([0.0, 0.5, np.inf]), data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_violation_stats_matches_reference_bitwise(case, epsilon, data):
+    pr, ens = case
+    got = violation_stats(pr, ens, epsilon, b=2.0, J=1.0)
+    _assert_bitwise_equal(got, _reference_violation_stats(pr, ens, epsilon, b=2.0, J=1.0))
+    order = data.draw(st.permutations(range(len(ens.paths))))
+    shuffled = Ensemble(paths=[ens.paths[i] for i in order], dt=ens.dt, T=ens.T,
+                        base_seed=0, problem=pr)
+    _assert_bitwise_equal(violation_stats(pr, shuffled, epsilon, b=2.0, J=1.0), got)
