@@ -8,14 +8,18 @@ identically:
     a = -(D_u g)^{-1} ((D_x g) f
           + 1/2 Tr(sigma D2_xx(g) sigma' + B D2_uu(g) B' + 2 sigma D2_xu(g) B'))
 
-At runtime both are assembled per evaluation point through a batched m-by-m
-linear solve; closed-form symbolic entries (cofactor inverse) are exposed for
-inspection when m <= 2.  A runtime determinant guard stands in for the
-"bounded inverse in a neighbourhood" hypothesis.
+For m <= 2 both come from their closed forms: the cofactor inverse of D_u g
+gives symbolic entries for a and B, and one generated kernel evaluates f ++ a,
+sigma ++ B and the cofactor det(D_u g) per step, its shared subexpressions
+computed once.  The step then makes no LAPACK call.  For m >= 3, whose
+cofactor expansion grows factorially, each step evaluates the Jacobians and
+Hessians and solves for a and B with a batched m-by-m LAPACK solve.  Either
+way a runtime guard, a finite det(D_u g) with |det| > SINGULAR_TOL, stands in
+for the "bounded inverse in a neighbourhood" hypothesis.
 
 A Hessian block of a row of g whose entries are all the constant 0 (D2_uu g_i
 when g_i is affine in u, D2_xu g_i without x-u products) is structurally zero:
-it is left out of the coefficient kernel and its trace term is not computed.
+it is left out of the pieces kernel and its trace term is not computed.
 That term would be exactly +0.0, because einsum sums from +0.0, and adding
 +0.0 to a trace that is never -0.0 changes no bit.  Only where B is +-inf or
 nan would the full sum differ (nan, from inf * 0); B then sits in the
@@ -35,7 +39,15 @@ from .errors import (
     MethodPreconditionError,
     SingularReductionError,
 )
-from .integrator import AugmentedSde, SamplePath, _eye, euler_maruyama, n_steps, wiener_increments
+from .integrator import (
+    AugmentedSde,
+    SamplePath,
+    _eye,
+    constraint_process,
+    euler_maruyama,
+    n_steps,
+    wiener_increments,
+)
 from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
 
 __all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "index1_setup", "solve_index1"]
@@ -61,10 +73,17 @@ class Index1Reduction:
     # per row of g, the kernel keys of its Hessian blocks that are not
     # structurally zero, in _BLOCKS order
     _blocks: list[tuple[str, ...]] = field(repr=False, default_factory=list)
+    # points -> {"drift": f ++ a, "diffusion": sigma ++ B, "det": det D_u g};
+    # the closed-form kernel for m <= 2, _solved_step otherwise
+    _step: Callable = field(repr=False, default=None)
 
     def _pieces_at(self, points) -> dict[str, np.ndarray]:
         with np.errstate(all="ignore"):
             return self._pieces(points)
+
+    def _step_at(self, points) -> dict[str, np.ndarray]:
+        with np.errstate(all="ignore"):
+            return self._step(points)
 
     def _trace(self, k: dict[str, np.ndarray], B: np.ndarray) -> np.ndarray:
         """Per-row Ito traces, shape (..., p); zero for a row without blocks."""
@@ -75,7 +94,7 @@ class Index1Reduction:
         return trace
 
     def _solve(self, k: dict[str, np.ndarray]):
-        """(a, B, det D_u g) from the evaluated pieces."""
+        """(a, B, det D_u g) from the evaluated pieces, by batched LAPACK solves."""
         dxg, dug, sig, f = k["dxg"], k["dug"], k["sigma"], k["f"]
         with np.errstate(all="ignore"):
             det = np.linalg.det(dug)
@@ -90,20 +109,42 @@ class Index1Reduction:
             B = np.where(ok[..., None, None], B, np.nan)
         return a, B, det
 
+    def _solved_step(self, points) -> dict[str, np.ndarray]:
+        """The step for m >= 3: the pieces kernel, then :meth:`_solve`."""
+        k = self._pieces_at(points)
+        a, B, det = self._solve(k)
+        return {
+            "drift": np.concatenate([k["f"], a], axis=-1),
+            "diffusion": np.concatenate([k["sigma"], B], axis=-2),
+            "det": det,
+        }
+
     def coefficients(self, points: np.ndarray):
-        """Evaluate (a, B, det D_u g) at points of shape (..., n+m)."""
-        return self._solve(self._pieces_at(points))
+        """Evaluate (a, B, det D_u g) at points of shape (..., n+m).
+
+        a and B are nan wherever the guard fails.
+        """
+        step = self._step_at(points)
+        n, det = self.problem.n, step["det"]
+        ok = _regular(det)
+        a = np.where(ok[..., None], step["drift"][..., n:], np.nan)
+        B = np.where(ok[..., None, None], step["diffusion"][..., n:, :], np.nan)
+        return a, B, det
 
     def diffusion_residual(self, points: np.ndarray) -> np.ndarray:
-        """(D_x g) sigma + (D_u g) B + Gamma; zero wherever B is defined."""
+        """(D_x g) sigma + (D_u g) B + Gamma; zero wherever B is defined.
+
+        B comes from :meth:`coefficients`, the Jacobians from the pieces
+        kernel, so the identity checks one against the other.
+        """
         k = self._pieces_at(points)
-        a, B, _ = self._solve(k)
+        _, B, _ = self.coefficients(points)
         return k["dxg"] @ k["sigma"] + k["dug"] @ B + k["gamma"]
 
     def drift_residual(self, points: np.ndarray) -> np.ndarray:
         """Drift half of the constraint differential; zero wherever a is defined."""
         k = self._pieces_at(points)
-        a, B, _ = self._solve(k)
+        a, B, _ = self.coefficients(points)
         return (
             0.5 * self._trace(k, B)
             + (k["dxg"] @ k["f"][..., None])[..., 0]
@@ -111,17 +152,12 @@ class Index1Reduction:
         )
 
     def sde(self) -> AugmentedSde:
-        """The reduced SDE; its guard reuses the det(D_u g) of the solve."""
+        """The reduced SDE; one step-kernel call gives its guard and coefficients."""
         pr = self.problem
 
         def both(points):
-            k = self._pieces_at(points)
-            a, B, det = self._solve(k)
-            with np.errstate(all="ignore"):
-                drift = np.concatenate([k["f"], a], axis=-1)
-                diff = np.concatenate([k["sigma"], B], axis=-2)
-                ok = np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
-            return ok, drift, diff
+            step = self._step_at(points)
+            return _regular(step["det"]), step["drift"], step["diffusion"]
 
         return AugmentedSde(
             dim=pr.n + pr.m,
@@ -130,6 +166,11 @@ class Index1Reduction:
             both=both,
             problem=pr,
         )
+
+
+def _regular(det: np.ndarray) -> np.ndarray:
+    """The guard: det D_u g is finite and larger than SINGULAR_TOL in size."""
+    return np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
 
 
 def _ito_trace(k: dict[str, np.ndarray], keys: tuple[str, ...], B: np.ndarray) -> np.ndarray:
@@ -200,6 +241,13 @@ def build_index1_reduction(pr: SdaeProblem) -> Index1Reduction:
             tr = expr.add(expr.add(xx, uu), expr.mul(expr.const(2.0), xu))
             rhs_a.append(expr.add(drift, expr.mul(expr.const(0.5), tr)))
         red.a_symbolic = [expr.neg(e) for e in _symlin.matvec(inv, rhs_a)]
+        red._step = expr.compile_kernel(pr.labels, {
+            "drift": [*pr.f, *red.a_symbolic],
+            "diffusion": [*pr.sigma, *red.b_symbolic],
+            "det": _symlin.det(dug_sym),
+        })
+    else:
+        red._step = red._solved_step
     return red
 
 
@@ -222,10 +270,15 @@ def index1_setup(pr: SdaeProblem) -> tuple[AugmentedSde, np.ndarray]:
 
 
 def solve_index1(pr: SdaeProblem, dt: float, T: float, seed: int) -> SamplePath:
-    """End-to-end: reduce, integrate, and report the worst constraint violation."""
+    """End-to-end: reduce, integrate, and report the worst constraint violation.
+
+    The violation is max |lambda| for the constraint process
+    lambda = g + int Gamma dW that the reduction keeps at zero; it is g
+    itself when Gamma = 0.
+    """
     sde, init = index1_setup(pr)
     increments = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, init, dt, T, increments, seed=seed)
-    g_vals = pr.constraint_kernel(pr.labels)(path.states)["g"]
-    path.metadata["max_constraint_violation"] = float(np.abs(g_vals).max())
+    lam = constraint_process(pr, path)
+    path.metadata["max_constraint_violation"] = float(np.abs(lam).max())
     return path

@@ -68,7 +68,22 @@ GOLDEN = {
         "cli-index1": "e48090c48419bc9dc44338caa9e88eefc79b5458de1f3a2b03d8dc0b16ca5d1a",
         "analysis": "2397411d373e0911b1e415e50bda2c55162cd2dc300ff0f23fac2f61a365522b",
     },
+    # index-1 steps for m <= 2 come from the compiled closed form with the
+    # cofactor-det guard; no other method's bits moved
+    "0.2.0": {
+        "numpy": "2.4.6",
+        "bounded-newton": "4dcb25e7787a235e19caf15c0b43f31319f61f06f59bfe788192753ef40e1ff6",
+        "bounded-lemma1": "7d31924a12fb15e6caadf29ded5bbeab739bde04557f5e821d8a14417a57e139",
+        "unit-prob": "eaf1dfeb351b3cb3eff4023ef68029eb14e8d7bcce9e087bb963b937892bf12c",
+        "index1-2x2": "bae840aaf81614619b39743a6a6f113b592a713a0a07917b3b5d18ff25053949",
+        "picard": "a586fc33896691c289c1cb6e30620823086d7194c303f24c4a9026550e2d9213",
+        "cli-index1": "b1f278ff25bd07dd76f33124bc76617bf595ebba2ffb74642d4ffc498880d1af",
+        "analysis": "2397411d373e0911b1e415e50bda2c55162cd2dc300ff0f23fac2f61a365522b",
+    },
 }
+
+# the digests the 0.1.0 -> 0.2.0 break was allowed to move
+BROKEN_IN_0_2_0 = {"index1-2x2", "cli-index1"}
 
 
 def _golden(name: str) -> str:
@@ -236,6 +251,20 @@ def test_cli_index1_output_bytes_digest(tmp_path):
 
 def test_analysis_digest():
     assert digest_analysis() == _golden("analysis")
+
+
+def test_0_2_0_break_moves_only_index1():
+    old, new = GOLDEN["0.1.0"], GOLDEN["0.2.0"]
+    assert old.keys() == new.keys()
+    moved = {k for k in old if old[k] != new[k]}
+    assert moved == BROKEN_IN_0_2_0
+
+
+def test_package_and_pyproject_versions_agree():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 # ---------------------------------------------------------------------------

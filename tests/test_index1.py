@@ -14,8 +14,9 @@ from sdaekit.errors import (
 )
 from sdaekit.expr import compile_kernel, evaluate, hessian, parse
 from sdaekit.index1 import build_index1_reduction, build_index1_sde, solve_index1
-from sdaekit.integrator import euler_maruyama, wiener_increments
-from sdaekit.problem import SdaeProblem, builtin
+from sdaekit.integrator import _eye, constraint_process, euler_maruyama, wiener_increments
+from sdaekit.problem import SINGULAR_TOL, SdaeProblem, builtin
+from sdaekit.stats import run_ensemble
 
 
 def pinned_u_problem():
@@ -64,12 +65,31 @@ def curved_u_problem():
     )
 
 
+def mixed_3d_problem():
+    # m = 3 is past the closed form, so its steps use the batched solve; its
+    # rows carry D2_xx, D2_uu and D2_xu blocks between them
+    return SdaeProblem(
+        n=2, m=3, p=3, d=2,
+        f=[parse("x2 + u1 - u3"), parse("-x1 + u2")],
+        sigma=[[parse("0.2"), parse("0.1*x1")], [parse("0.1"), parse("0.3")]],
+        g=[
+            parse("u1 + 0.1*u2 - x1 - 0.05*x2^2"),
+            parse("u2 + 0.1*u3^2 - 0.2*x2 + 0.3*sin(x1)"),
+            parse("u3 - 0.1*u1 + 0.1*x1*u2 - 0.3*x2"),
+        ],
+        gamma=[[parse("0.05"), parse("0")], [parse("0"), parse("0.1")], [parse("0.02"), parse("0")]],
+        x0=[0.0, 0.0], u0_guess=[0.0, 0.0, 0.0],
+        name="mixed-3d",
+    )
+
+
 INDEX1_PROBLEMS = [
     builtin("linear-index1"),
     pinned_u_problem(),
     mixed_2d_problem(),
     contraction_example(),
     curved_u_problem(),
+    mixed_3d_problem(),
 ]
 
 
@@ -128,10 +148,10 @@ def full_trace_reference(pr, points, B):
 
 
 @st.composite
-def mixed_block_problems(draw):
+def mixed_block_problems(draw, ms=st.integers(1, 2)):
     """Index-1 problems whose rows each have a random subset of non-zero
     D2_xx, D2_uu and D2_xu blocks; D_u g stays near the identity on [-1, 1]."""
-    n, m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n, m, d = draw(st.integers(1, 2)), draw(ms), draw(st.integers(1, 2))
     xs = [f"x{i + 1}" for i in range(n)]
     us = [f"u{i + 1}" for i in range(m)]
     coef = st.sampled_from(["0.1", "-0.1", "0.05", "-0.07"])
@@ -179,6 +199,17 @@ class TestStructuralZeroBlocks:
         assert np.isfinite(B).all()
         assert red._trace(k, B).tobytes() == full_trace_reference(pr, pts, B).tobytes()
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def test_skipped_trace_equals_full_trace_bitwise_m3(self, data):
+        pr = data.draw(mixed_block_problems(ms=st.just(3)))
+        red = build_index1_reduction(pr)
+        pts = data.draw(arrays(np.float64, (5, pr.n + pr.m), elements=st.floats(-1, 1)))
+        k = red._pieces_at(pts)
+        _, B, _ = red._solve(k)
+        assert np.isfinite(B).all()
+        assert red._trace(k, B).tobytes() == full_trace_reference(pr, pts, B).tobytes()
+
 
 class TestAnnihilationIdentities:
     @pytest.mark.parametrize("pr", INDEX1_PROBLEMS, ids=lambda p: p.name or "anon")
@@ -196,6 +227,97 @@ class TestAnnihilationIdentities:
         pts = rng.uniform(-1, 1, size=(100, pr.n + pr.m))
         resid = red.drift_residual(pts)
         assert np.nanmax(np.abs(resid)) <= 1e-10
+
+
+def lapack_reference(red, points):
+    """(a, B, det D_u g) by batched LAPACK solves on the pieces kernel: the
+    step of every m before the m <= 2 closed form, kept as its reference."""
+    k = red._pieces_at(points)
+    dxg, dug, sig, f = k["dxg"], k["dug"], k["sigma"], k["f"]
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(dug)
+        rhs_b = -(dxg @ sig + k["gamma"])
+        ok = np.abs(det) > SINGULAR_TOL
+        safe_dug = np.where(ok[..., None, None], dug, _eye(red.problem.m))
+        B = np.linalg.solve(safe_dug, rhs_b)
+        trace = red._trace(k, B)
+        rhs_a = -((dxg @ f[..., None])[..., 0] + 0.5 * trace)
+        a = np.linalg.solve(safe_dug, rhs_a[..., None])[..., 0]
+        a = np.where(ok[..., None], a, np.nan)
+        B = np.where(ok[..., None, None], B, np.nan)
+    return a, B, det
+
+
+@st.composite
+def conditioned_problems(draw):
+    """1x1 and 2x2 index-1 problems g = M u - c(x) with a constant D_u g = M
+    of drawn determinant (1e-10 to 10, either sign) and condition (up to 1e8).
+
+    c is a positive sum of x, x^2 and exp(x) terms; f and sigma are non-negative
+    and Gamma non-positive on x >= 0.  Every term of the right-hand sides of a
+    and B then has one sign, so they carry no cancellation and the comparison
+    measures the two solves alone.  Points keep x >= 1e-6, clear of the
+    subnormal range where relative rounding grows without bound.
+    """
+    n, m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    # half the draws land within a decade of the guard's SINGULAR_TOL = 1e-8
+    log_det = draw(st.one_of(st.floats(-10, 1), st.floats(-9, -7)))
+    det = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** log_det
+    if m == 1:
+        M = np.array([[det]])
+    else:
+        cond = 10.0 ** draw(st.floats(0, 8))
+        s1 = np.sqrt(abs(det) * cond)
+        theta = draw(st.floats(0, np.pi))
+        c, s = np.cos(theta), np.sin(theta)
+        R = np.array([[c, -s], [s, c]])
+        M = R @ np.diag([np.copysign(s1, det), abs(det) / s1]) @ R.T
+    xs = [f"x{i + 1}" for i in range(n)]
+    g = []
+    for i in range(m):
+        text = " + ".join(f"({float(M[i, j])!r})*u{j + 1}" for j in range(m))
+        for xk in draw(st.lists(st.sampled_from(xs), min_size=1, max_size=2)):
+            shape = draw(st.sampled_from(["{}", "{}^2", "exp({})"]))
+            text += f" - {draw(st.sampled_from(['0.3', '0.05', '1.5']))}*{shape.format(xk)}"
+        g.append(parse(text))
+    entry = st.sampled_from(["0", "0.2", "0.1*x1", "0.3 + x1^2"])
+    return SdaeProblem(
+        n=n, m=m, p=m, d=d,
+        f=[parse(draw(st.sampled_from(["1", *xs, "0.5 + x1^2"]))) for _ in range(n)],
+        sigma=[[parse(draw(entry)) for _ in range(d)] for _ in range(n)],
+        g=g,
+        gamma=[[parse(draw(st.sampled_from(["0", "-0.05"]))) for _ in range(d)] for _ in range(m)],
+        x0=[0.0] * n, u0_guess=[0.0] * m,
+    )
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_agrees_with_lapack_reference(self, data):
+        pr = data.draw(conditioned_problems())
+        red = build_index1_reduction(pr)
+        x = data.draw(arrays(np.float64, (6, pr.n), elements=st.floats(1e-6, 1)))
+        u = data.draw(arrays(np.float64, (6, pr.m), elements=st.floats(-1, 1)))
+        pts = np.concatenate([x, u], axis=1)
+        a, B, det = red.coefficients(pts)
+        a_ref, B_ref, det_ref = lapack_reference(red, pts)
+
+        ok, drift, diffusion = red.sde().both(pts)
+        ok_ref = np.isfinite(det_ref) & (np.abs(det_ref) > SINGULAR_TOL)
+        clear = (np.abs(det_ref) < 0.5 * SINGULAR_TOL) | (np.abs(det_ref) > 2.0 * SINGULAR_TOL)
+        np.testing.assert_array_equal(ok[clear], ok_ref[clear])
+        assert np.array_equal(np.isnan(a), ~ok[:, None].repeat(pr.m, 1))
+        assert drift[:, pr.n:][ok].tobytes() == a[ok].tobytes()
+        assert diffusion[:, pr.n:][ok].tobytes() == B[ok].tobytes()
+
+        both_ok = ok & ok_ref
+        cond = np.linalg.cond(red._pieces_at(pts)["dug"])
+        for got, ref in ((a, a_ref), (B, B_ref)):
+            got, ref = got.reshape(len(pts), -1), ref.reshape(len(pts), -1)
+            err = np.abs(got - ref).max(axis=1)
+            bound = 1e-13 * cond * np.abs(ref).max(axis=1)
+            assert (err <= bound)[both_ok].all()
 
 
 class TestLinearIndex1Exactness:
@@ -219,6 +341,25 @@ class TestLinearIndex1Exactness:
             x[k + 1] = x[k] + x[k] * dt + 0.3 * inc[k, 0]
         np.testing.assert_allclose(path.column("x1"), x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(path.column("u1"), x, rtol=0, atol=1e-12)
+
+
+def test_max_violation_is_the_constraint_process():
+    # Gamma != 0: g itself wanders with the noise while lambda = g + int Gamma dW
+    # stays at zero up to the step error
+    pr = mixed_2d_problem()
+    path = solve_index1(pr, dt=1e-3, T=1.0, seed=5)
+    lam = constraint_process(pr, path)
+    assert path.metadata["max_constraint_violation"] == np.abs(lam).max()
+    assert path.metadata["max_constraint_violation"] < 1e-2
+
+
+def test_m3_ensemble_completes():
+    pr = mixed_3d_problem()
+    ens = run_ensemble(build_index1_sde(pr), pr.init_point(), 1e-3, 0.05, 4, 7, chunk=3)
+    assert all(p.status.completed for p in ens.paths)
+    for p in ens.paths:
+        assert np.isfinite(p.states).all()
+        assert np.abs(constraint_process(pr, p)).max() < 1e-3
 
 
 class TestPreconditions:
