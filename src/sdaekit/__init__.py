@@ -8,7 +8,7 @@ m-solution), on top of a seeded Euler-Maruyama engine with reproducible
 Monte Carlo statistics.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bounded import (
     BoundedMConfig,

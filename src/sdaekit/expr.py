@@ -631,6 +631,9 @@ def _node_code(e: Unary | Binary, *operands: str, constant: bool = False) -> str
         left = f"_np.float64({left})"
     if e.op == "pow":
         cv = _cv(e.right)
+        if cv in (3.0, 4.0):
+            # libm pow costs up to 20x a multiply when bases straddle 0
+            return "(" + " * ".join([left] * int(cv)) + ")"
         if cv is not None and float(cv).is_integer() and abs(cv) < 128:
             right = str(int(cv))
         return f"({left} ** {right})"

@@ -1,10 +1,14 @@
 """Seeded noise generation and fixed-step Euler-Maruyama integration.
 
 Reproducibility contract: all normal variates come from a counter-based
-64-bit generator (splitmix-style mixing, inverse-CDF transform), so a path is
-a pure function of its seed and an ensemble of its base seed, independent of
-evaluation order or batching.  The step loop is vectorised across paths; a
-single path is just a batch of one, so both produce bit-identical states.
+64-bit generator, so a path is a pure function of its seed and an ensemble of
+its base seed, independent of evaluation order or batching.  Counter i of a
+seed is mixed by SplitMix64; its top 52 bits k give the uniform
+u = (k + 1/2)·2^-52, exact and strictly inside (0, 1) on a grid symmetric
+about 1/2.  Wichura's AS241 inverse normal CDF maps u to one normal, and the
+transform is odd bit for bit: Z(1 - u) = -Z(u).  The step loop is vectorised
+across paths; a single path is just a batch of one, so both produce
+bit-identical states.
 
 Every method runs on one engine, ``_em_batch``.  Each step makes one call
 ``both(x) -> (ok, drift, diffusion)``, so a reduction's singular guard comes
@@ -32,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import expr
 from .problem import SdaeProblem
@@ -68,6 +71,78 @@ def derive_seed(base_seed: int, k: int) -> int:
     return int(_mix64(np.uint64((base_seed + (k + 1) * _GOLDEN) & _MASK64)))
 
 
+# Wichura, "Algorithm AS241: The percentage points of the normal
+# distribution", Appl. Statist. 37(3), 477-484 (1988).  The coefficients are
+# those of CPython's statistics._normal_dist_inv_cdf; each tuple lists a
+# numerator or denominator polynomial from its highest power down.
+_AS241_CENTRAL = (  # in r = 0.180625 - q^2, for |q| <= 0.425
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_TAIL = (  # in r - 1.6, r = sqrt(-log(min(u, 1 - u))) <= 5
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444169341e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (  # in r - 5, for r > 5, i.e. min(u, 1 - u) < 1.4e-11
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614852e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    acc = coeffs[0] * r
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coeffs[-1]
+    return acc
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """(k + 1/2)·2^-52 for the top 52 bits k of each uint64: exact, in (0, 1)."""
+    return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of u in (0, 1) by AS241, elementwise.
+
+    The same float operations as the scalar algorithm: the central rational
+    runs on every entry, then the entries with |u - 1/2| > 0.425 (about 15%)
+    are recomputed in the tail.  Central values equal the scalar ones bit for
+    bit; tail values may differ by the rounding of np.log against libm's log.
+    """
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    num = _horner(_AS241_CENTRAL[0], r)
+    num *= q
+    num /= _horner(_AS241_CENTRAL[1], r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        ut = u[tail]
+        r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+        far = r > 5.0
+        rt = r - 1.6
+        x = _horner(_AS241_TAIL[0], rt) / _horner(_AS241_TAIL[1], rt)
+        if far.any():
+            rf = r[far] - 5.0
+            x[far] = _horner(_AS241_FAR[0], rf) / _horner(_AS241_FAR[1], rf)
+        num[tail] = np.copysign(x, q[tail])
+    return num
+
+
 def wiener_increments(seed: int, steps: int, d: int, dt: float) -> np.ndarray:
     """I.i.d. normal(0, dt) increments, shape (steps, d), fixed by the seed."""
     if steps < 1:
@@ -79,8 +154,9 @@ def wiener_increments(seed: int, steps: int, d: int, dt: float) -> np.ndarray:
     idx = np.arange(1, steps * d + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = _mix64(np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN))
-    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return (ndtri(u) * math.sqrt(dt)).reshape(steps, d)
+    out = _ndtri(_uniforms(z))
+    out *= math.sqrt(dt)
+    return out.reshape(steps, d)
 
 
 def n_steps(T: float, dt: float) -> int:

@@ -258,35 +258,15 @@ def build_unit_prob_sde(
     ]
     s_terms: list[expr.Expression] = []
     for w in range(pr.n):
-        s: expr.Expression = pr.f[w]
-        for r in range(pr.d):
-            for k in range(pr.m):
-                for j in range(pr.m):
-                    s = expr.sub(
-                        s,
-                        expr.mul(
-                            expr.const(0.5),
-                            expr.mul(expr.mul(b_sym[k][r], hy[w][j][k]), b_sym[j][r]),
-                        ),
-                    )
+        tr = _symlin.quad_trace(b_sym, hy[w], b_sym)
+        s = expr.sub(pr.f[w], expr.mul(expr.const(0.5), tr))
         for j in range(pr.d):
             for l in range(pr.m):
                 s = expr.sub(s, expr.mul(dlam[w][l][j], b_sym[l][j]))
         s_terms.append(s)
     for acc, hgi in zip(_symlin.matvec(dg, s_terms), hg):
-        # not _symlin.quad_trace: one 0.5 outside the sum would regroup these
-        # per-term products and move unit-prob path bits
-        for j in range(pr.d):
-            for k in range(pr.n):
-                for l in range(pr.n):
-                    acc = expr.add(
-                        acc,
-                        expr.mul(
-                            expr.const(0.5),
-                            expr.mul(expr.mul(lam_sym[k][j], hgi[k][l]), lam_sym[l][j]),
-                        ),
-                    )
-        chi_sym.append(acc)
+        tr = _symlin.quad_trace(lam_sym, hgi, lam_sym)
+        chi_sym.append(expr.add(acc, expr.mul(expr.const(0.5), tr)))
     a_sym = _symlin.matvec(inv_gain, chi_sym)
 
     red = UnitProbReduction(

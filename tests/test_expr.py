@@ -433,3 +433,48 @@ def test_expressions_are_immutable():
     with pytest.raises(Exception):
         e.left = Constant(5.0)  # frozen dataclass
     assert hash(e) == hash(parse("x1 + 1"))
+
+
+# ---------------------------------------------------------------------------
+# Integer powers 3 and 4 compile to multiply chains, not libm pow
+# ---------------------------------------------------------------------------
+
+
+def _power_kernel(k):
+    return compile_kernel(("x1",), {"v": parse(f"x1^{k}")})
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_chain_is_a_left_to_right_product(k):
+    rng = np.random.default_rng(k)
+    x = rng.uniform(-3.0, 3.0, 1000)
+    chain = x * x * x if k == 3 else x * x * x * x
+    assert _same_bits(compile_expr(parse(f"x1^{k}"))({"x1": x}), chain)
+    assert _same_bits(_power_kernel(k)(x[:, None])["v"], chain)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_chain_within_two_ulp_of_pow(k):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(10**6) * np.exp(rng.uniform(-60.0, 60.0, 10**6))
+    got = _power_kernel(k)(x[:, None])["v"]
+    want = x**k
+    assert np.all(np.isfinite(want))
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= 2.0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_chain_matches_pow_on_special_values(k):
+    x = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, -1e-200])
+    with np.errstate(all="ignore"):
+        got = _power_kernel(k)(x[:, None])["v"]
+        want = x**k
+    assert _same_bits(got, want)
+
+
+def test_other_integer_powers_keep_pow():
+    kernel = compile_kernel(("x1",), {"v": [parse("x1^2"), parse("x1^5"), parse("x1^-3")]})
+    x = np.array([[-1.7], [0.3]])
+    out = kernel(x)["v"]
+    assert _same_bits(out, np.stack([x[:, 0] ** 2, x[:, 0] ** 5, x[:, 0] ** -3], axis=-1))

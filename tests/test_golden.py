@@ -80,10 +80,26 @@ GOLDEN = {
         "cli-index1": "b1f278ff25bd07dd76f33124bc76617bf595ebba2ffb74642d4ffc498880d1af",
         "analysis": "2397411d373e0911b1e415e50bda2c55162cd2dc300ff0f23fac2f61a365522b",
     },
+    # noise from the AS241 inverse normal on the 52-bit uniform grid, integer
+    # powers 3 and 4 as multiply chains, unit-prob's chi with one shared 0.5
+    "0.3.0": {
+        "numpy": "2.4.6",
+        "bounded-newton": "93485cca3cdbaca32d00b74b7b536d3baee4cd37c2016a5c5ca9f0527f835e61",
+        "bounded-lemma1": "485346810c4423e396059e1d6074356879b6e4eb2ef2bf7a647186d643be0314",
+        "unit-prob": "a2253724d28fe4ce842f1c54dadb741148e8ec7d2f99736bff77efa6f8c9670e",
+        "index1-2x2": "568ed45aaed52681001d58922237bc83c74c9ab3f08f27e729b5d155c37b763b",
+        "picard": "bf524b610a5a595c72635199bc84c2bbe0004f6504a3507121541c56191deb0d",
+        "cli-index1": "a1f6065b1776892d899b47ca0daf9c7023bc5f068d281a051ed9b6275545816b",
+        "analysis": "2397411d373e0911b1e415e50bda2c55162cd2dc300ff0f23fac2f61a365522b",
+    },
 }
 
 # the digests the 0.1.0 -> 0.2.0 break was allowed to move
 BROKEN_IN_0_2_0 = {"index1-2x2", "cli-index1"}
+
+# the 0.2.0 -> 0.3.0 break moves every path; the analysis results draw no
+# noise and evaluate no compiled third or fourth power
+BROKEN_IN_0_3_0 = {"bounded-newton", "bounded-lemma1", "unit-prob", "index1-2x2", "picard", "cli-index1"}
 
 
 def _golden(name: str) -> str:
@@ -258,6 +274,13 @@ def test_0_2_0_break_moves_only_index1():
     assert old.keys() == new.keys()
     moved = {k for k in old if old[k] != new[k]}
     assert moved == BROKEN_IN_0_2_0
+
+
+def test_0_3_0_break_moves_every_path_digest():
+    old, new = GOLDEN["0.2.0"], GOLDEN["0.3.0"]
+    assert old.keys() == new.keys()
+    moved = {k for k in old if old[k] != new[k]}
+    assert moved == BROKEN_IN_0_3_0
 
 
 def test_package_and_pyproject_versions_agree():

@@ -1,10 +1,16 @@
 """Noise generation, the Euler-Maruyama engine, and constraint tracking."""
 
 import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sdaekit import integrator
 from sdaekit.expr import parse
 from sdaekit.integrator import (
     AugmentedSde,
@@ -81,6 +87,89 @@ class TestWiener:
     def test_n_steps_rejects_nan_inf_and_nonpositive(self, T, dt):
         with pytest.raises(ValueError, match="T and dt must be positive and finite"):
             n_steps(T, dt)
+
+
+def _counter_uniforms(seed, count):
+    """The uniforms behind ``wiener_increments(seed, count, 1, dt)``."""
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = integrator._mix64(np.uint64(seed) + idx * np.uint64(integrator._GOLDEN))
+    return integrator._uniforms(z)
+
+
+# counters 0 and 2^64 - 1 give the smallest and largest uniform, 2^-53 and
+# 1 - 2^-53; 2^12 and 2^64 - 2^12 - 1 are their neighbours on the grid
+EXTREME_COUNTERS = np.array([0, 2**12, 2**64 - 2**12 - 1, 2**64 - 1], dtype=np.uint64)
+# uniforms from 2^-53 to 1/2 on both sides, through the far tail (u < 1.4e-11)
+TAIL_COUNTERS = np.array([2**e for e in range(11, 64)] + [2**64 - 2**e for e in range(11, 64)],
+                         dtype=np.uint64)
+
+
+class TestNormalGenerator:
+    def test_increments_are_scaled_counter_normals(self):
+        want = integrator._ndtri(_counter_uniforms(21, 500)) * math.sqrt(0.04)
+        assert wiener_increments(21, 500, 1, 0.04).ravel().tobytes() == want.tobytes()
+
+    def test_moments_of_a_million_normals(self):
+        n = 10**6
+        z = wiener_increments(2024, n, 1, 1.0).ravel()
+        # standard errors of the sample mean, variance and 4th moment of
+        # N(0, 1), whose 4th and 8th moments are 3 and 105
+        assert abs(z.mean()) < 5.0 * math.sqrt(1.0 / n)
+        assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+        assert abs(np.mean(z**4) - 3.0) < 5.0 * math.sqrt(96.0 / n)
+
+    def test_uniforms_lie_strictly_inside_the_unit_interval(self):
+        u = integrator._uniforms(EXTREME_COUNTERS)
+        assert u.tolist() == [2.0**-53, 3 * 2.0**-53, 1 - 3 * 2.0**-53, 1 - 2.0**-53]
+
+    def test_extreme_counters_give_finite_normals(self):
+        z = integrator._ndtri(integrator._uniforms(EXTREME_COUNTERS))
+        assert np.all(np.isfinite(z))
+        assert z[0] == -z[3] and z[1] == -z[2] and -8.3 < z[0] < z[1] < -8.0
+
+    def test_transform_is_odd_bitwise(self):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([
+            EXTREME_COUNTERS,
+            np.arange(0, 2**64 - 1, 2**48, dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, 10**5, dtype=np.uint64, endpoint=True),
+        ])
+        u, mirror = integrator._uniforms(z), integrator._uniforms(~z)
+        assert np.all(u + mirror == 1.0)
+        assert np.all(1.0 - u == mirror)
+        np.testing.assert_array_equal(
+            integrator._ndtri(mirror).view(np.uint64),
+            (-integrator._ndtri(u)).view(np.uint64),
+        )
+
+    def test_agrees_with_the_stdlib_as241(self):
+        u = np.concatenate([_counter_uniforms(5, 2 * 10**5), integrator._uniforms(EXTREME_COUNTERS),
+                            integrator._uniforms(TAIL_COUNTERS)])
+        got = integrator._ndtri(u)
+        ref = np.array([statistics.NormalDist().inv_cdf(v) for v in u.tolist()])
+        central = np.abs(u - 0.5) <= 0.425
+        # the central rational is plain arithmetic: the same bits
+        np.testing.assert_array_equal(got[central], ref[central])
+        # the tails go through np.log, which may round apart from libm's log
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_agrees_with_scipy_ndtri(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        u = np.concatenate([_counter_uniforms(7, 2 * 10**6), integrator._uniforms(EXTREME_COUNTERS),
+                            integrator._uniforms(TAIL_COUNTERS)])
+        want = ndtri(u)
+        assert np.all(np.abs(integrator._ndtri(u) - want) <= 8 * np.spacing(np.abs(want)))
+
+    def test_cli_import_pulls_in_no_scipy(self):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+        code = "import sys, sdaekit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestEulerMaruyama:
@@ -170,7 +259,7 @@ class TestConstraintProcess:
         path = euler_maruyama(sde, [0.0, 0.0, 0.0], 0.01, 1.0, inc)
         lam = constraint_process(pr, path)
         x1, x2 = path.states[:, 0], path.states[:, 1]
-        np.testing.assert_array_equal(lam[:, 0], 2 * x1 - x1**3 - 0.5 * np.sin(4 * x2))
+        np.testing.assert_array_equal(lam[:, 0], 2 * x1 - x1 * x1 * x1 - 0.5 * np.sin(4 * x2))
 
     def test_noisy_constraint_telescopes(self):
         # g = x1, Gamma = [1], drift 0, sigma 0: lambda_k = x0 + W-sum
