@@ -43,6 +43,7 @@ from .errors import (
 from .index1 import build_index1_sde
 from .index_reduction import ito_drift_rows
 from .integrator import (
+    NEWTON_MAX_ITER,
     AugmentedSde,
     Ensemble,
     SamplePath,
@@ -52,7 +53,7 @@ from .integrator import (
     n_steps,
     wiener_increments,
 )
-from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
+from .problem import ProblemKind, SdaeProblem, classify
 from .stats import ViolationReport, run_ensemble, violation_stats
 from .wellposedness import grid_points
 
@@ -83,8 +84,11 @@ class SolveMode(enum.Enum):
 @dataclass
 class SupTraceResult:
     raw: float  # grid maximum after refinement, no inflation
-    inflated: float  # raw times SUP_INFLATION
     argmax_point: np.ndarray
+
+    @property
+    def inflated(self) -> float:  # raw times SUP_INFLATION
+        return self.raw * SUP_INFLATION
 
 
 @dataclass
@@ -95,13 +99,16 @@ class BoundedMConfig:
     grid_per_dim: int = 101
     b: float | None = None
     J_raw: float | None = None
-    J_inflated: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
+
+    @property
+    def J_inflated(self) -> float | None:  # J_raw times SUP_INFLATION, once J_raw is known
+        return None if self.J_raw is None else self.J_raw * SUP_INFLATION
 
 
 def sup_trace(
@@ -147,11 +154,7 @@ def sup_trace(
     if vals2[best2] > raw:
         raw = float(vals2[best2])
         argmax = pts2[best2]
-    return SupTraceResult(
-        raw=raw,
-        inflated=raw * SUP_INFLATION,
-        argmax_point=argmax,
-    )
+    return SupTraceResult(raw=raw, argmax_point=argmax)
 
 
 def gain_threshold(J: float, epsilon: float, alpha: float) -> float:
@@ -200,9 +203,7 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
     out = cfg
     if out.J_raw is None:
         sup = sup_trace(pr, out.box, out.grid_per_dim)
-        out = replace(out, J_raw=sup.raw, J_inflated=sup.inflated)
-    elif out.J_inflated is None:
-        out = replace(out, J_inflated=out.J_raw * SUP_INFLATION)
+        out = replace(out, J_raw=sup.raw)
     if out.b is None:
         out = replace(out, b=choose_b(out.J_raw, out.epsilon, out.alpha))
     threshold = gain_threshold(out.J_raw, out.epsilon, out.alpha)
@@ -249,16 +250,14 @@ def _h_system(h_pr: SdaeProblem):
 
 def _initial_algebraic_value(h_pr: SdaeProblem) -> np.ndarray:
     fn = _h_system(h_pr)(h_pr.init_point()[None])
-    u, ok, singular, _ = _newton_batch(
-        fn, h_pr.u0_guess[None].astype(float), NEWTON_TOL, 50, SINGULAR_TOL
-    )
+    u, ok, singular, _ = _newton_batch(fn, h_pr.u0_guess[None].astype(float), NEWTON_TOL)
     if singular[0]:
         raise SingularReductionError(
             "D_u h is singular at the initial point; the stabilised constraint "
             "cannot be solved for u there"
         )
     if not ok[0]:
-        raise NewtonDivergenceError(50, float(np.abs(fn(u)[0]).max()))
+        raise NewtonDivergenceError(NEWTON_MAX_ITER, float(np.abs(fn(u)[0]).max()))
     return u[0]
 
 
@@ -273,7 +272,7 @@ def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem) -> AugmentedSde:
         return None, k["drift"], k["diffusion"]
 
     def project(state):
-        return _newton_batch(h_at(state), state[:, n:], NEWTON_TOL, 50, SINGULAR_TOL)
+        return _newton_batch(h_at(state), state[:, n:], NEWTON_TOL)
 
     return AugmentedSde(
         dim=pr.n + pr.m, d=pr.d, labels=pr.labels, both=both, project=project, problem=pr,

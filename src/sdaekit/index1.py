@@ -14,8 +14,8 @@ sigma ++ B and the cofactor det(D_u g) per step, its shared subexpressions
 computed once.  The step then makes no LAPACK call.  For m >= 3, whose
 cofactor expansion grows factorially, each step evaluates the Jacobians and
 Hessians and solves for a and B with a batched m-by-m LAPACK solve.  Either
-way a runtime guard, a finite det(D_u g) with |det| > SINGULAR_TOL, stands in
-for the "bounded inverse in a neighbourhood" hypothesis.
+way the runtime guard ``problem.regular(det D_u g)`` stands in for the
+"bounded inverse in a neighbourhood" hypothesis.
 
 A Hessian block of a row of g whose entries are all the constant 0 (D2_uu g_i
 when g_i is affine in u, D2_xu g_i without x-u products) is structurally zero:
@@ -45,10 +45,11 @@ from .integrator import (
     _eye,
     constraint_process,
     euler_maruyama,
+    guarded_sde,
     n_steps,
     wiener_increments,
 )
-from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
+from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify, regular
 
 __all__ = ["Index1Reduction", "build_index1_reduction", "build_index1_sde", "index1_setup", "solve_index1"]
 
@@ -94,19 +95,20 @@ class Index1Reduction:
         return trace
 
     def _solve(self, k: dict[str, np.ndarray]):
-        """(a, B, det D_u g) from the evaluated pieces, by batched LAPACK solves."""
+        """(a, B, det D_u g) from the evaluated pieces, by batched LAPACK solves.
+
+        a and B are meaningless where det fails the guard; nothing reads them there.
+        """
         dxg, dug, sig, f = k["dxg"], k["dug"], k["sigma"], k["f"]
         with np.errstate(all="ignore"):
             det = np.linalg.det(dug)
             rhs_b = -(dxg @ sig + k["gamma"])
-            ok = np.abs(det) > SINGULAR_TOL
+            ok = regular(det)
             safe_dug = np.where(ok[..., None, None], dug, _eye(self.problem.m))
             B = np.linalg.solve(safe_dug, rhs_b)
             trace = self._trace(k, B)
             rhs_a = -((dxg @ f[..., None])[..., 0] + 0.5 * trace)
             a = np.linalg.solve(safe_dug, rhs_a[..., None])[..., 0]
-            a = np.where(ok[..., None], a, np.nan)
-            B = np.where(ok[..., None, None], B, np.nan)
         return a, B, det
 
     def _solved_step(self, points) -> dict[str, np.ndarray]:
@@ -126,7 +128,7 @@ class Index1Reduction:
         """
         step = self._step_at(points)
         n, det = self.problem.n, step["det"]
-        ok = _regular(det)
+        ok = regular(det)
         a = np.where(ok[..., None], step["drift"][..., n:], np.nan)
         B = np.where(ok[..., None, None], step["diffusion"][..., n:, :], np.nan)
         return a, B, det
@@ -153,24 +155,7 @@ class Index1Reduction:
 
     def sde(self) -> AugmentedSde:
         """The reduced SDE; one step-kernel call gives its guard and coefficients."""
-        pr = self.problem
-
-        def both(points):
-            step = self._step_at(points)
-            return _regular(step["det"]), step["drift"], step["diffusion"]
-
-        return AugmentedSde(
-            dim=pr.n + pr.m,
-            d=pr.d,
-            labels=pr.labels,
-            both=both,
-            problem=pr,
-        )
-
-
-def _regular(det: np.ndarray) -> np.ndarray:
-    """The guard: det D_u g is finite and larger than SINGULAR_TOL in size."""
-    return np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
+        return guarded_sde(self.problem, self._step)
 
 
 def _ito_trace(k: dict[str, np.ndarray], keys: tuple[str, ...], B: np.ndarray) -> np.ndarray:
@@ -255,7 +240,7 @@ def build_index1_sde(pr: SdaeProblem) -> AugmentedSde:
     """Validate the reduction at the initial point and return the reduced SDE."""
     red = build_index1_reduction(pr)
     _, _, det = red.coefficients(pr.init_point())
-    if not np.isfinite(det) or abs(float(det)) <= SINGULAR_TOL:
+    if not regular(det):
         raise SingularReductionError(
             f"|det D_u g| = {abs(float(det)):.3e} at the initial point "
             f"(guard {SINGULAR_TOL:.1e})"

@@ -24,7 +24,7 @@ import numpy as np
 from . import _symlin, expr
 from .errors import MethodPreconditionError
 from .integrator import _newton_batch
-from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
+from .problem import ProblemKind, SdaeProblem, classify, regular
 
 __all__ = ["ReductionStep", "IndexReport", "ito_drift_rows", "reduce_once", "compute_index"]
 
@@ -107,7 +107,7 @@ def _newton_consistent_u(pr: SdaeProblem) -> tuple[np.ndarray, bool]:
         k = kernel(point)
         return k["g"], k["dug"]
 
-    u, converged, _, _ = _newton_batch(fn, pr.u0_guess[None], 1e-12, 50, SINGULAR_TOL)
+    u, converged, _, _ = _newton_batch(fn, pr.u0_guess[None], 1e-12)
     return u[0], bool(converged[0])
 
 
@@ -140,8 +140,9 @@ def compute_index(pr: SdaeProblem, max_steps: int = MAX_STEPS_DEFAULT) -> IndexR
             duh = expr.compile_kernel(
                 current.labels, {"duh": expr.jacobian(current.g, current.u_labels)}
             )
-            det = float(np.linalg.det(duh(current.init_point())["duh"]))
-            if abs(det) <= SINGULAR_TOL:
+            with np.errstate(all="ignore"):
+                det = float(np.linalg.det(duh(current.init_point())["duh"]))
+            if not regular(det):
                 return IndexReport(
                     index=None,
                     exceeded_limit=True,

@@ -12,9 +12,10 @@ bit-identical states.
 
 Every method runs on one engine, ``_em_batch``.  Each step makes one call
 ``both(x) -> (ok, drift, diffusion)``, so a reduction's singular guard comes
-from the same evaluation as its coefficients.  Methods that keep part of the
-state on a constraint (bounded Newton) add a ``project`` hook that fills
-those columns after the step.
+from the same evaluation as its coefficients (``guarded_sde`` builds it for
+the closed-form reductions).  Methods that keep part of the state on a
+constraint (bounded Newton) add a ``project`` hook that fills those columns
+after the step.
 
 Every algebraic solve in the package runs on one batched Newton loop,
 ``_newton_batch``, whose ``(u, converged, singular, iters)`` result is the
@@ -38,7 +39,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import expr
-from .problem import SdaeProblem
+from .problem import SdaeProblem, regular
 
 __all__ = [
     "AugmentedSde",
@@ -50,10 +51,12 @@ __all__ = [
     "wiener_increments",
     "n_steps",
     "euler_maruyama",
+    "guarded_sde",
     "constraint_process",
     "write_path_csv",
 ]
 
+NEWTON_MAX_ITER = 50  # updates a Newton solve makes before it gives up
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -291,6 +294,22 @@ def _step_fn(sde: AugmentedSde):
     return both
 
 
+def guarded_sde(problem: SdaeProblem, step: Callable) -> AugmentedSde:
+    """The reduced SDE on (x, u) whose guard is ``regular`` of the det its step gives.
+
+    ``step(points) -> {"drift", "diffusion", "det"}``, det being that of the
+    matrix the reduction inverts.
+    """
+
+    def both(points):
+        with np.errstate(all="ignore"):
+            k = step(points)
+            return regular(k["det"]), k["drift"], k["diffusion"]
+
+    return AugmentedSde(dim=problem.n + problem.m, d=problem.d, labels=problem.labels,
+                        both=both, problem=problem)
+
+
 @functools.lru_cache(maxsize=None)
 def _eye(m: int) -> np.ndarray:
     """Read-only identity, shared by every Newton solve of size m."""
@@ -299,15 +318,15 @@ def _eye(m: int) -> np.ndarray:
     return eye
 
 
-def _newton_batch(fn, u0, tol, max_iter, det_tol):
+def _newton_batch(fn, u0, tol):
     """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
 
     Returns (u, converged, singular, iters).  A path converges when its
     residual is finite and at most ``tol``.  The residual after the last of
-    the ``max_iter`` updates is not evaluated, so every convergence is
-    confirmed by a residual.  A path is singular where det(D_u res) is not
-    finite or at most ``det_tol`` in size, or where its update is not finite;
-    its u then keeps its last value.  For m = 1 the 1x1 entry a stands in
+    the NEWTON_MAX_ITER updates is not evaluated, so every convergence is
+    confirmed by a residual.  A path is singular where det(D_u res) fails
+    ``problem.regular`` or where its update is not finite; its u then keeps
+    its last value.  For m = 1 the 1x1 entry a stands in
     for the determinant and the update is res / a, without LAPACK: its
     one-column 1x1 solve gives the same quotient bit for bit, while its 1x1
     det is sign * exp(log|a|), which may differ from a in the last bits.
@@ -319,7 +338,7 @@ def _newton_batch(fn, u0, tol, max_iter, det_tol):
     iters = np.zeros(P, dtype=np.int64)
     scalar = m == 1
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             res, jac = fn(u)
             resn = np.abs(res).max(axis=1)
             pending = ~converged & ~singular
@@ -329,7 +348,7 @@ def _newton_batch(fn, u0, tol, max_iter, det_tol):
             if not pending.any():
                 break
             det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
-            bad = pending & (~np.isfinite(det) | (np.abs(det) <= det_tol))
+            bad = pending & ~regular(det)
             singular |= bad
             pending &= ~bad
             if not pending.any():

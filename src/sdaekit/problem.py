@@ -44,10 +44,16 @@ __all__ = [
     "builtin_names",
     "CONSISTENCY_TOL",
     "SINGULAR_TOL",
+    "regular",
 ]
 
 CONSISTENCY_TOL = 1e-8
 SINGULAR_TOL = 1e-8
+
+
+def regular(det):
+    """The one singularity rule, elementwise: det is finite and |det| > SINGULAR_TOL."""
+    return np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
 
 
 class ProblemKind(enum.Enum):
@@ -255,12 +261,13 @@ def classify(pr: SdaeProblem) -> Classification:
         if pr.m == pr.p:
             dug = expr.compile_kernel(pr.labels, {"dug": expr.jacobian(pr.g, pr.u_labels)})
             pt = pr.init_point()
-            det0 = float(np.linalg.det(dug(pt)["dug"]))
-            if abs(det0) < SINGULAR_TOL:
-                notes.append("D_u g is numerically singular at the initial point")
             probes = pt + 1e-3 * _perturbation_directions(pr.n + pr.m)
-            dets = np.linalg.det(dug(probes)["dug"])
-            if np.any(np.sign(dets) != np.sign(det0)) or np.any(np.abs(dets) < SINGULAR_TOL):
+            with np.errstate(all="ignore"):
+                det0 = float(np.linalg.det(dug(pt)["dug"]))
+                dets = np.linalg.det(dug(probes)["dug"])
+            if not regular(det0):
+                notes.append("D_u g is numerically singular at the initial point")
+            if np.any(np.sign(dets) != np.sign(det0)) or not regular(dets).all():
                 notes.append(
                     "det D_u g changes sign or nearly vanishes within radius 1e-3 "
                     "of the initial point; invertibility may not hold in a neighbourhood"

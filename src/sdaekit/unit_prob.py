@@ -39,14 +39,16 @@ from .errors import (
     SpecInvalidError,
 )
 from .integrator import (
+    NEWTON_MAX_ITER,
     AugmentedSde,
     SamplePath,
     _newton_batch,
     euler_maruyama,
+    guarded_sde,
     n_steps,
     wiener_increments,
 )
-from .problem import SINGULAR_TOL, ProblemKind, SdaeProblem, classify
+from .problem import ProblemKind, SdaeProblem, classify, regular
 from .wellposedness import grid_points
 
 __all__ = [
@@ -113,7 +115,7 @@ def validate_characteristic(
     pts = grid_points(list(box), grid_per_dim)
     with np.errstate(all="ignore"):
         vals = composed(pts)["z"]
-        jac0 = composed(pr.u0_guess)["jac"]
+        det = float(np.linalg.det(composed(pr.u0_guess)["jac"]))
     norms = np.abs(vals).max(axis=1)
     if not np.isfinite(norms).all():
         worst = pts[int(np.argmax(~np.isfinite(norms)))]
@@ -124,8 +126,7 @@ def validate_characteristic(
             f"|g(y(v))| = {norms.max():.6g} >= epsilon = {spec.epsilon:g} "
             f"at v = {worst}; tighten y or enlarge epsilon"
         )
-    det = float(np.linalg.det(jac0))
-    if not np.isfinite(det) or abs(det) <= SINGULAR_TOL:
+    if not regular(det):
         raise SpecInvalidError(
             f"(Dg)(D_v y) is singular at the initial v (det = {det:.3e})"
         )
@@ -196,22 +197,8 @@ class UnitProbReduction:
         return out
 
     def sde(self) -> AugmentedSde:
-        pr = self.problem
-
-        def both(points):
-            with np.errstate(all="ignore"):
-                k = self._step(points)
-                det = k["det"]
-                ok = np.isfinite(det) & (np.abs(det) > SINGULAR_TOL)
-            return ok, k["drift"], k["diffusion"]
-
-        return AugmentedSde(
-            dim=pr.n + pr.m,
-            d=pr.d,
-            labels=pr.labels,
-            both=both,
-            problem=pr,
-        )
+        """The reduced SDE; one step-kernel call gives its guard and coefficients."""
+        return guarded_sde(self.problem, self._step)
 
 
 def build_unit_prob_sde(
@@ -308,17 +295,17 @@ def consistent_init(
         k = composed(u)
         return k["z"], k["jac"]
 
-    u, converged, singular, _ = _newton_batch(fn, v[None], 1e-12, 50, SINGULAR_TOL)
+    u, converged, singular, _ = _newton_batch(fn, v[None], 1e-12)
     if converged[0]:
         return u[0]
     with np.errstate(all="ignore"):
         k = composed(u[0])
         det = np.linalg.det(k["jac"])
-    if singular[0] and not (np.isfinite(det) and abs(det) > SINGULAR_TOL):
+    if singular[0] and not regular(det):
         raise SingularJacobianError(
             f"(Dg)(D_v y) singular during initialisation (det = {det:.3e})"
         )
-    raise NewtonDivergenceError(50, float(np.abs(k["z"]).max()))
+    raise NewtonDivergenceError(NEWTON_MAX_ITER, float(np.abs(k["z"]).max()))
 
 
 def _unit_prob_setup(

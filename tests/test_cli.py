@@ -105,6 +105,18 @@ class TestReduce:
         assert "cos(4*x2)" in out
         assert "not determined" in out  # m = 1 != 3
 
+    def test_non_finite_det_is_not_determined(self, tmp_path, capsys):
+        sqrt_file = tmp_path / "sqrt.sdae"
+        sqrt_file.write_text(
+            "[dims]\nn=1 m=2 p=1 d=1\n[drift]\nsqrt(u1)\n[diffusion]\nu2\n"
+            "[constraint]\nx1\n[constraint_noise]\n0\n[initial]\nx = 0\nu = 0, 0\n"
+        )
+        assert main(["reduce", str(sqrt_file)]) == 0
+        captured = capsys.readouterr()
+        assert "index: not determined - D_u h is square but singular" in captured.out
+        assert "index: 2" not in captured.out
+        assert "RuntimeWarning" not in captured.err
+
     def test_index1_input_is_exit_3(self, linear_file):
         assert main(["reduce", str(linear_file), "--steps", "1"]) == 3
 

@@ -1,12 +1,14 @@
 """One-step reduction rows, index computation, and the dimension law."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import random_points
-from sdaekit.errors import MethodPreconditionError
+from sdaekit.errors import MethodPreconditionError, SingularReductionError
 from sdaekit.expr import evaluate, parse
-from sdaekit.index1 import solve_index1
+from sdaekit.index1 import build_index1_sde, solve_index1
 from sdaekit.index_reduction import compute_index, ito_drift_rows, reduce_once
 from sdaekit.integrator import wiener_increments
 from sdaekit.problem import SdaeProblem, builtin
@@ -105,6 +107,23 @@ class TestComputeIndex:
         report = compute_index(pr, max_steps=1)
         assert report.exceeded_limit
         assert "limit" in report.diagnosis
+
+    def test_non_finite_det_is_singular(self):
+        # h = (sqrt(u1), u2): D_u h has the entry 1/(2 sqrt(u1)) = inf at u1 = 0
+        pr = SdaeProblem(
+            n=1, m=2, p=1, d=1,
+            f=[parse("sqrt(u1)")], sigma=[[parse("u2")]],
+            g=[parse("x1")], gamma=[[parse("0")]],
+            x0=[0.0], u0_guess=[0.0, 0.0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compute_index(pr)
+        assert report.index is None and report.exceeded_limit
+        assert "singular at the initial point (det = nan)" in report.diagnosis
+        # the index-1 solver refuses the same reduced problem
+        with pytest.raises(SingularReductionError):
+            build_index1_sde(report.steps[0].reduced)
 
     def test_index3_chain_with_d_zero(self):
         # classical DAE chain x1' = x2, x2' = u: index 3 constraint g = x1

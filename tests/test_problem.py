@@ -1,5 +1,7 @@
 """Problem container: loading, printing, classification, builtins."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sdaekit.errors import (
 )
 from sdaekit.expr import evaluate, parse
 from sdaekit.problem import (
+    SINGULAR_TOL,
     Classification,
     ProblemKind,
     SdaeProblem,
@@ -21,6 +24,7 @@ from sdaekit.problem import (
     classify,
     load_problem,
     print_problem,
+    regular,
 )
 
 PAPER_FILE = """
@@ -137,11 +141,34 @@ class TestClassify:
         assert cls.ill_posed_verdict is Verdict.ILL_POSED
         assert cls.max_tangency_residual == pytest.approx(0.5, abs=1e-12)
 
+    def test_nan_det_is_numerically_singular(self):
+        # D_u g = sqrt(u1) + u1 * 0.5 / sqrt(u1) is 0 * inf = nan at u1 = 0
+        pr = SdaeProblem(
+            n=1, m=1, p=1, d=1,
+            f=[parse("x1")], sigma=[[parse("0.1")]],
+            g=[parse("u1*sqrt(u1) - x1")], gamma=[[parse("0")]],
+            x0=[0.0], u0_guess=[0.0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cls = classify(pr)
+        assert np.isnan(cls.det_dug_at_init)
+        assert "D_u g is numerically singular at the initial point" in cls.notes
+
     def test_u_dependent_sigma_is_not_unsdae(self):
         cls = classify(builtin("index2-demo"))
         assert cls.kind is ProblemKind.HIGH_INDEX
         assert not cls.unsdae
         assert cls.ill_posed_verdict is Verdict.INAPPLICABLE
+
+
+class TestRegular:
+    def test_finite_and_above_the_tolerance_only(self):
+        dets = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, SINGULAR_TOL, -SINGULAR_TOL,
+                         2 * SINGULAR_TOL, -2 * SINGULAR_TOL, 1e300])
+        want = [False] * 7 + [True] * 3
+        assert regular(dets).tolist() == want
+        assert [bool(regular(float(v))) for v in dets] == want
 
 
 class TestBuiltins:

@@ -1,6 +1,7 @@
 """Characteristic-map reduction: coefficient formulas, identities, band tracking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ class TestValidation:
             validate_characteristic(
                 pr, CharacteristicSpec(y=[parse("x1"), parse("0")], epsilon=0.1)
             )
+
+    def test_nan_gain_det_refused_without_warning(self):
+        # d/du1 of u1*sqrt(u1^2) is 0 + 0 * 0/0 = nan at the initial u1 = 0
+        pr = builtin("paper-example")
+        spec = CharacteristicSpec(y=[parse("0.001*u1*sqrt(u1^2)"), parse("0")], epsilon=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecInvalidError, match=r"singular at the initial v \(det = nan\)"):
+                validate_characteristic(pr, spec, box=[(-1.0, 1.0)], grid_per_dim=11)
 
     def test_index1_problem_rejected(self):
         with pytest.raises(MethodPreconditionError):
