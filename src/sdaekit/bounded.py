@@ -22,6 +22,10 @@ depend on x alone are computed once per step, the rest once per iterate.
 With one algebraic variable (m = 1) the update is the quotient h / D_u h and
 the singular test reads D_u h itself, with no LAPACK call; m >= 2 solves with
 LAPACK.  Every Newton solve here stops at a residual of NEWTON_TOL (1e-10).
+
+Both modes refuse a gain with b dt >= 2 (MethodPreconditionError): on the
+grid the step gives lambda_{k+1} = (1 - b dt) lambda_k + (Dg sigma) dW_k,
+whose mean square diverges there.
 """
 
 from __future__ import annotations
@@ -217,6 +221,16 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
     return out
 
 
+def _require_stable_step(b: float, dt: float) -> None:
+    """Refuse b*dt >= 2: the step's lambda_{k+1} = (1 - b dt) lambda_k + noise diverges."""
+    if b * dt >= 2.0:
+        raise MethodPreconditionError(
+            f"gain b = {b:g} with dt = {dt:g} gives b*dt = {b * dt:g} >= 2, where the "
+            f"Euler-Maruyama step cannot hold the constraint; the largest dt for this "
+            f"gain is 2/b = {2.0 / b:g} (exclusive)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Newton per step: a projection hook on the shared Euler-Maruyama engine
 # ---------------------------------------------------------------------------
@@ -305,6 +319,7 @@ def run_bounded_ensemble(
 ) -> Ensemble:
     """Simulate the stabilised system for a whole ensemble (derived seeds)."""
     cfg = resolve_config(pr, cfg)
+    _require_stable_step(cfg.b, dt)
     sde, init = _stabilised_sde(pr, cfg, mode)
     ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
     ens.meta["config"] = cfg
@@ -321,6 +336,7 @@ def solve_bounded(
 ) -> SamplePath:
     """Single stabilised path; the literal seed drives the increments."""
     cfg = resolve_config(pr, cfg)
+    _require_stable_step(cfg.b, dt)
     sde, init = _stabilised_sde(pr, cfg, mode)
     inc = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, init, dt, T, inc, seed=seed)

@@ -322,47 +322,66 @@ def _newton_batch(fn, u0, tol):
     """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
 
     Returns (u, converged, singular, iters).  A path converges when its
-    residual is finite and at most ``tol``.  The residual after the last of
-    the NEWTON_MAX_ITER updates is not evaluated, so every convergence is
-    confirmed by a residual.  A path is singular where det(D_u res) fails
-    ``problem.regular`` or where its update is not finite; its u then keeps
-    its last value.  For m = 1 the 1x1 entry a stands in
-    for the determinant and the update is res / a, without LAPACK: its
-    one-column 1x1 solve gives the same quotient bit for bit, while its 1x1
-    det is sign * exp(log|a|), which may differ from a in the last bits.
+    residual is at most ``tol``, which is false for a nan or inf residual.
+    The residual after the last of the NEWTON_MAX_ITER updates is not
+    evaluated, so every convergence is confirmed by a residual.  A path is
+    singular where det(D_u res) fails ``problem.regular`` or where its update
+    is not finite; its u then keeps its last value.  For m = 1 the 1x1 entry
+    a stands in for the determinant and the update is res / a, without
+    LAPACK: its one-column 1x1 solve gives the same quotient bit for bit,
+    while its 1x1 det is sign * exp(log|a|), which may differ from a in the
+    last bits.
+
+    Every test is a count.  The convergence, guard and finiteness masks are
+    built only when their count shows a row that leaves the pending set, and
+    the update is masked only once some row has left it; until then it is
+    the plain ``u -= delta``, the same float operation on every row.
     """
     u = u0.copy()
     P, m = u.shape
     converged = np.zeros(P, dtype=bool)
     singular = np.zeros(P, dtype=bool)
     iters = np.zeros(P, dtype=np.int64)
+    pending = np.ones(P, dtype=bool)
+    n_pending = P
     scalar = m == 1
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             res, jac = fn(u)
-            resn = np.abs(res).max(axis=1)
-            pending = ~converged & ~singular
-            finite = np.isfinite(resn)
-            converged |= pending & finite & (resn <= tol)
-            pending = ~converged & ~singular
-            if not pending.any():
+            resn = np.abs(res[:, 0]) if scalar else np.abs(res).max(axis=1)
+            done = resn <= tol
+            if np.count_nonzero(done):
+                converged |= pending & done
+                pending = ~converged & ~singular
+                n_pending = np.count_nonzero(pending)
+            if not n_pending:
                 break
             det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
-            bad = pending & ~regular(det)
-            singular |= bad
-            pending &= ~bad
-            if not pending.any():
-                break
+            ok = regular(det)
+            if np.count_nonzero(ok) < P:
+                bad = pending & ~ok
+                singular |= bad
+                pending &= ~bad
+                n_pending = np.count_nonzero(pending)
+                if not n_pending:
+                    break
             if scalar:
                 delta = res / det[:, None]
             else:
-                safe = np.where(pending[:, None, None], jac, _eye(m))
+                safe = jac if n_pending == P else np.where(pending[:, None, None], jac, _eye(m))
                 delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
-            bad_step = pending & ~np.isfinite(delta).all(axis=1)
-            singular |= bad_step
-            pending &= ~bad_step
-            u = np.where(pending[:, None], u - delta, u)
-            iters += pending
+            finite = np.isfinite(delta)
+            if np.count_nonzero(finite) < finite.size:
+                bad_step = pending & ~finite.all(axis=1)
+                singular |= bad_step
+                pending &= ~bad_step
+                n_pending = np.count_nonzero(pending)
+            if n_pending == P:
+                u -= delta
+                iters += 1
+            else:
+                u = np.where(pending[:, None], u - delta, u)
+                iters += pending
     return u, converged, singular, iters
 
 
@@ -379,6 +398,11 @@ def _em_batch(
     None without a ``project`` hook.  The state is updated in place, in
     preallocated buffers, with the same float operations in the same order
     as X + f dt + sum_j sigma_j dW_j.
+
+    Every test is a count.  The guard, finiteness and projection masks are
+    built only when their count shows a failure, and the state and iteration
+    updates are masked only once some path has ended; until then they are
+    the plain forms, which give every row the same values.
     """
     P, N = init.shape
     step = _step_fn(sde)
@@ -388,26 +412,30 @@ def _em_batch(
     stop = np.full(P, steps, dtype=np.int64)
     kind = np.zeros(P, dtype=np.int8)
     alive = np.ones(P, dtype=bool)
+    n_alive = P
     iters = None if project is None else np.zeros(P, dtype=np.int64)
     x = init.astype(float)
 
     def end(mask, code, k):
-        if mask.any():
+        nonlocal n_alive
+        n = np.count_nonzero(mask)
+        if n:
             kind[mask] = code
             stop[mask] = k
             alive[mask] = False
+            n_alive -= n
 
     singular = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
     domain = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
     x_next = noise = None
     with np.errstate(all="ignore"):
         for k in range(steps):
-            if not alive.any():
+            if not n_alive:
                 break
             ok, a, b = step(x)
-            if ok is not None:
+            if ok is not None and np.count_nonzero(ok) < P:
                 end(alive & ~ok, singular, k)
-                if not alive.any():
+                if not n_alive:
                     break
             if x_next is None:  # the stepped columns are known from the first drift
                 n = a.shape[-1]
@@ -418,14 +446,27 @@ def _em_batch(
             for j in range(sde.d):
                 np.multiply(b[:, :, j], dW[:, k, j, None], out=noise)
                 x_next += noise
-            end(alive & ~np.isfinite(x_next).all(axis=1), domain, k)
-            np.copyto(stepped, x_next, where=alive[:, None])
+            finite = np.isfinite(x_next)
+            if np.count_nonzero(finite) < finite.size:
+                end(alive & ~finite.all(axis=1), domain, k)
+            if n_alive == P:
+                np.copyto(stepped, x_next)
+            else:
+                np.copyto(stepped, x_next, where=alive[:, None])
             if project is not None:
                 u, converged, sing, it = project(x)
-                np.add(iters, it, out=iters, where=alive)
-                end(alive & sing, singular, k)
-                end(alive & ~converged, domain, k)
-                np.copyto(x[:, n:], u, where=alive[:, None])
+                if n_alive == P:
+                    iters += it
+                else:
+                    np.add(iters, it, out=iters, where=alive)
+                if np.count_nonzero(sing):
+                    end(alive & sing, singular, k)
+                if np.count_nonzero(converged) < P:
+                    end(alive & ~converged, domain, k)
+                if n_alive == P:
+                    np.copyto(x[:, n:], u)
+                else:
+                    np.copyto(x[:, n:], u, where=alive[:, None])
             states[:, k + 1] = x
     return states, stop, kind, iters
 

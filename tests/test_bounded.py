@@ -227,6 +227,27 @@ class TestVerifyBound:
         assert np.nanmax(np.abs(rep.mean_g)) <= 1e-10
 
 
+class TestStepRefusal:
+    """b dt >= 2 makes the step's lambda_{k+1} = (1 - b dt) lambda_k + noise diverge."""
+
+    CFG = BoundedMConfig(epsilon=0.5, alpha=0.8, box=BOX, b=4.0, J_raw=0.1)
+
+    @pytest.mark.parametrize("mode", list(SolveMode), ids=lambda m: m.value)
+    def test_gain_times_dt_of_2_refused(self, mode):
+        pr = builtin("paper-example")
+        msg = r"b = 4 with dt = 0\.5 gives b\*dt = 2 >= 2.*2/b = 0\.5"
+        with pytest.raises(MethodPreconditionError, match=msg):
+            run_bounded_ensemble(pr, self.CFG, 0.5, 1.0, 2, 1, mode)
+        with pytest.raises(MethodPreconditionError, match=msg):
+            solve_bounded(pr, self.CFG, 0.5, 1.0, 1, mode)
+
+    @pytest.mark.parametrize("mode", list(SolveMode), ids=lambda m: m.value)
+    def test_gain_times_dt_below_2_runs(self, mode):
+        pr = builtin("paper-example")
+        assert len(run_bounded_ensemble(pr, self.CFG, 0.45, 0.9, 2, 1, mode)) == 2
+        assert len(solve_bounded(pr, self.CFG, 0.45, 0.9, 1, mode).t_grid) >= 1
+
+
 def fold_problem():
     """h = u^3 - u + 0.3 + 2 x is nonlinear in u: Newton takes several steps,
     and paths that reach the fold of the cubic stop converging."""

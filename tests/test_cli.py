@@ -355,6 +355,19 @@ class TestSolve:
         assert flags[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_bounded_gain_too_large_for_dt_exit_3(self, paper_file, tmp_path, capsys):
+        # this box and target give b = 275, so b*dt = 2.75 at dt = 1e-2: the
+        # step cannot hold lambda, and the run is refused before any output
+        out_dir = tmp_path / "o"
+        rc = main(["solve", str(paper_file), "--method", "bounded",
+                   "--epsilon", "0.1", "--alpha", "0.8", "--box=-2:2,-5:5",
+                   "--dt", "1e-2", "--t-end", "0.5", "--paths", "200",
+                   "--out", str(out_dir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "b = 275" in err and "dt = 0.01" in err and "2/b = 0.00727273" in err
+        assert not [p for p in out_dir.rglob("*") if p.is_file()]
+
     def test_index1_inconsistent_initial_value_exit_3(self, tmp_path, capsys):
         # g = u1 - x1 is 4 at x = 1, u = 5: the index-1 method must refuse it
         problem = tmp_path / "off.sdae"

@@ -1,5 +1,6 @@
 """Noise generation, the Euler-Maruyama engine, and constraint tracking."""
 
+import collections
 import math
 import os
 import statistics
@@ -9,9 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import newton_batch_reference
 from sdaekit import integrator
+from sdaekit.bounded import BoundedMConfig, SolveMode, _stabilised_sde
 from sdaekit.expr import parse
+from sdaekit.index1 import index1_setup
 from sdaekit.integrator import (
     AugmentedSde,
     PathStatus,
@@ -25,6 +32,8 @@ from sdaekit.integrator import (
     write_path_csv,
 )
 from sdaekit.problem import SdaeProblem, builtin
+from sdaekit.stats import run_ensemble
+from sdaekit.unit_prob import build_unit_prob_sde, consistent_init, paper_example_spec
 
 
 def const_sde(dim, d, drift_val, diff_matrix, labels=None, guard=None):
@@ -379,3 +388,225 @@ class TestProjection:
         sde = const_sde(1, 1, [0.0], [[1.0]])
         path = euler_maruyama(sde, [0.0], 0.1, 0.5, np.zeros((5, 1)))
         assert "newton_iterations" not in path.metadata
+
+
+# ---------------------------------------------------------------------------
+# The step loop's bookkeeping: plain forms while every path lives, masked
+# forms after one ends.  A single path never takes the masked branch, so a
+# batch whose paths end at different steps must still equal each path alone.
+# ---------------------------------------------------------------------------
+
+BATCH_DT = 0.01
+
+
+def ending_sde():
+    """dx = -x dt + dW on columns (t, z, x, u), with u projected onto 2x.
+
+    t counts time and z keeps the first increment, dW_0 ~ N(0, 0.01), which
+    picks the path's end: z < -0.1 fails the guard at step 7, z in (-0.1,
+    -0.05) gives a nan drift at step 11, z in (0.05, 0.1) leaves the
+    projection unconverged at step 14 and z > 0.1 makes it singular at step
+    18 (the projection sees the stepped t).  Other paths complete.
+    """
+    dt = BATCH_DT
+
+    def both(points):
+        t, z, x = points[:, 0], points[:, 1], points[:, 2]
+        drift = np.zeros((len(points), 3))
+        drift[:, 0] = 1.0
+        drift[:, 2] = np.where((z > -0.1) & (z < -0.05) & (t > 10.5 * dt), np.nan, -x)
+        diffusion = np.zeros((len(points), 3, 1))
+        diffusion[:, 1, 0] = t < 0.5 * dt
+        diffusion[:, 2, 0] = 1.0
+        return ~((z < -0.1) & (t > 6.5 * dt)), drift, diffusion
+
+    def project(state):
+        t, z, x = state[:, 0], state[:, 1], state[:, 2]
+        singular = (z > 0.1) & (t > 18.5 * dt)
+        converged = ~((z > 0.05) & (z < 0.1) & (t > 14.5 * dt)) & ~singular
+        return 2.0 * state[:, 2:3], converged, singular, np.where(x > 0.0, 2, 3)
+
+    return AugmentedSde(dim=4, d=1, labels=("t", "z", "x1", "u1"), both=both, project=project)
+
+
+def assert_batch_equals_single(sde, init, ens):
+    steps = n_steps(ens.T, ens.dt)
+    for path in ens.paths:
+        inc = wiener_increments(path.seed, steps, sde.d, ens.dt)
+        single = euler_maruyama(sde, init, ens.dt, ens.T, inc, seed=path.seed)
+        assert str(single.status) == str(path.status)
+        assert single.states.tobytes() == path.states.tobytes()
+        assert single.dW.tobytes() == path.dW.tobytes()
+        assert single.metadata.get("newton_iterations") == path.metadata.get("newton_iterations")
+
+
+def index1_sqrt_problem():
+    """dx = -x dt + 0.3 dW with u = 1/sqrt(x): D_u g = sqrt(x1) is nan once
+    x1 < 0, so a path that crosses 0 ends singular at its next step."""
+    return SdaeProblem(
+        n=1, m=1, p=1, d=1,
+        f=[parse("-x1")], sigma=[[parse("0.3")]],
+        g=[parse("u1 * sqrt(x1) - 1")], gamma=[[parse("0")]],
+        x0=[0.1], u0_guess=[10.0 ** 0.5],
+    )
+
+
+class TestBatchEqualsSingle:
+    def test_paths_ended_by_guard_drift_and_projection(self):
+        sde = ending_sde()
+        init = np.zeros(4)
+        ens = run_ensemble(sde, init, BATCH_DT, 0.3, 24, 5, chunk=24)
+        assert {str(p.status) for p in ens.paths} == {
+            "completed", "singular-reduction@7", "domain-error@11",
+            "domain-error@14", "singular-reduction@18",
+        }
+        assert_batch_equals_single(sde, init, ens)
+
+    def test_index1(self):
+        pr = index1_sqrt_problem()
+        sde, init = index1_setup(pr)
+        ens = run_ensemble(sde, init, 1e-3, 0.3, 16, 3, chunk=16, problem=pr)
+        ended = [p.status.step for p in ens.paths if not p.status.completed]
+        assert {p.status.kind for p in ens.paths} == {
+            StatusKind.COMPLETED, StatusKind.SINGULAR_REDUCTION,
+        }
+        assert sorted(ended) == [64, 68, 93, 144, 155, 184, 186]
+        assert_batch_equals_single(sde, init, ens)
+
+    def test_unit_prob_criterion_4_setup(self):
+        pr = builtin("paper-example")
+        spec = paper_example_spec(0.25)
+        init = np.concatenate([pr.x0, consistent_init(spec, pr)])
+        sde = build_unit_prob_sde(pr, spec).sde()
+        ens = run_ensemble(sde, init, 1e-5, 0.035, 20, 2024, chunk=20)
+        ended = [p.status.step for p in ens.paths if not p.status.completed]
+        assert sorted(ended) == [882, 1730, 2323, 2612, 3079, 3105, 3221]
+        assert_batch_equals_single(sde, init, ens)
+
+
+# Row kinds of the Newton reference test
+NOW, LATER, SINGULAR, NONFINITE, NEVER = range(5)
+
+
+def newton_rows(kinds, c, A, event, bad):
+    """``fn(u) -> (res, jac)`` whose row r behaves as ``kinds[r]``.
+
+    res = A (u - c) + 0.1 (u - c)^3 converges from u = c at once (NOW) or in
+    a few updates (LATER).  At call ``event[r]`` a SINGULAR row's Jacobian
+    becomes ``bad[r]`` (0, nan or below SINGULAR_TOL) and a NONFINITE row's
+    residual becomes ``bad[r]`` (inf or nan) over a regular Jacobian.  A NEVER
+    row has residual 1 and Jacobian I, so each update moves u by 1.
+    """
+    m = c.shape[1]
+    calls = [0]
+
+    def fn(u):
+        k = calls[0]
+        calls[0] += 1
+        e = u - c
+        res = np.einsum("pij,pj->pi", A, e) + 0.1 * e**3
+        jac = A + np.eye(m) * (0.3 * e**2)[:, :, None]
+        res[kinds == NEVER] = 1.0
+        jac[kinds == NEVER] = np.eye(m)
+        hit = event == k
+        jac[hit & (kinds == SINGULAR)] = bad[hit & (kinds == SINGULAR), None, None]
+        res[hit & (kinds == NONFINITE)] = bad[hit & (kinds == NONFINITE), None]
+        return res, jac
+
+    return fn
+
+
+def assert_newton_equals_reference(kinds, c, A, u0, event, bad, tol):
+    got = integrator._newton_batch(newton_rows(kinds, c, A, event, bad), u0, tol)
+    want = newton_batch_reference(newton_rows(kinds, c, A, event, bad), u0, tol)
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:], want[1:], strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
+class TestNewtonReference:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_row_kind_ends_as_built(self, m):
+        kinds = np.array([NOW, LATER, SINGULAR, NONFINITE, NEVER, LATER])
+        P = len(kinds)
+        rng = np.random.default_rng(m)
+        c = rng.uniform(-2.0, 2.0, (P, m))
+        A = 2.0 * np.eye(m) + 0.3 * rng.uniform(-1.0, 1.0, (P, m, m))
+        u0 = c + np.where(kinds[:, None] == NOW, 0.0, 0.4)
+        event = np.array([0, 0, 1, 2, 0, 0])
+        bad = np.array([0.0, 0.0, np.nan, np.inf, 0.0, 0.0])
+        _, converged, singular, iters = assert_newton_equals_reference(
+            kinds, c, A, u0, event, bad, 1e-10)
+        assert converged.tolist() == [True, True, False, False, False, True]
+        assert singular.tolist() == [False, False, True, True, False, False]
+        assert iters[[0, 2, 3, 4]].tolist() == [0, 1, 2, integrator.NEWTON_MAX_ITER]
+        assert 2 <= iters[1] < 10
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_equals_reference_bitwise(self, data):
+        P = data.draw(st.integers(1, 8))
+        m = data.draw(st.sampled_from([1, 2]))
+        kinds = data.draw(arrays(np.int64, P, elements=st.integers(NOW, NEVER)))
+        c = data.draw(arrays(np.float64, (P, m), elements=st.floats(-2.0, 2.0)))
+        R = data.draw(arrays(np.float64, (P, m, m), elements=st.floats(-1.0, 1.0)))
+        offset = data.draw(arrays(np.float64, (P, m), elements=st.floats(-0.5, 0.5)))
+        event = data.draw(arrays(np.int64, P, elements=st.integers(0, 3)))
+        bad = np.where(
+            kinds == SINGULAR,
+            data.draw(arrays(np.float64, P, elements=st.sampled_from([0.0, -0.0, np.nan, 1e-9]))),
+            data.draw(arrays(np.float64, P, elements=st.sampled_from([np.inf, -np.inf, np.nan]))),
+        )
+        tol = data.draw(st.sampled_from([1e-10, 1e-12]))
+        u0 = c + np.where(kinds[:, None] == NOW, 0.0, offset)
+        assert_newton_equals_reference(kinds, c, 2.0 * np.eye(m) + 0.3 * R, u0, event, bad, tol)
+
+
+# Python-level calls per engine step with 8 live paths: 34.1 (bounded Newton,
+# two iterates) and 11.1 (index-1) measured with numpy 2.4, plus 25%.  While
+# every path lives the step loop's bookkeeping is a fixed set of counts, so
+# this holds the lean loop on any host, where a timing could not.
+CALL_BUDGET_PER_STEP = {"bounded-newton": 42.6, "index1": 13.9}
+
+
+def python_calls(run):
+    """run()'s result and a Counter of the (file, function) of every
+    Python-level call it makes."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def budget_case(name):
+    if name == "bounded-newton":
+        pr = builtin("paper-example")
+        cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2.0, 2.0), (-5.0, 5.0)],
+                             b=11.0, J_raw=4.0)
+        sde, init = _stabilised_sde(pr, cfg, SolveMode.NEWTON_PER_STEP)
+        return sde, init, 1e-3
+    sde, init = index1_setup(builtin("linear-index1"))
+    return sde, init, 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(CALL_BUDGET_PER_STEP))
+def test_step_loop_call_budget(name):
+    sde, init, dt = budget_case(name)
+    steps, P = 200, 8
+    dW = np.stack([wiener_increments(derive_seed(1, k), steps, sde.d, dt) for k in range(P)])
+    init = np.tile(init, (P, 1))
+    (_, stop, kind, _), calls = python_calls(
+        lambda: integrator._em_batch(sde, init, dt, steps, dW))
+    assert (stop == steps).all() and (kind == 0).all()  # every path lives
+    reached = {fn for (path, fn) in calls if path.endswith("_methods.py")}
+    assert not reached & {"_any", "_all"}
+    assert sum(calls.values()) / steps <= CALL_BUDGET_PER_STEP[name]
