@@ -264,7 +264,8 @@ def _h_system(h_pr: SdaeProblem):
 
 def _initial_algebraic_value(h_pr: SdaeProblem) -> np.ndarray:
     fn = _h_system(h_pr)(h_pr.init_point()[None])
-    u, ok, singular, _ = _newton_batch(fn, h_pr.u0_guess[None].astype(float), NEWTON_TOL)
+    with np.errstate(all="ignore"):
+        u, ok, singular, _ = _newton_batch(fn, h_pr.u0_guess[None].astype(float), NEWTON_TOL)
     if singular[0]:
         raise SingularReductionError(
             "D_u h is singular at the initial point; the stabilised constraint "

@@ -381,9 +381,9 @@ def _cmd_solve(args) -> int:
     _check_solve_flags(args)
     pr = _load(args.file)
     box, y_box = _solve_boxes(pr, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ens, info = _solve_ensemble(pr, args, box, y_box)
+    out_dir = Path(args.out)  # made only for a run that was not refused
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     canonical = print_problem(pr)
     (out_dir / "problem.sdae").write_text(canonical, encoding="utf-8")

@@ -107,7 +107,8 @@ def _newton_consistent_u(pr: SdaeProblem) -> tuple[np.ndarray, bool]:
         k = kernel(point)
         return k["g"], k["dug"]
 
-    u, converged, _, _ = _newton_batch(fn, pr.u0_guess[None], 1e-12)
+    with np.errstate(all="ignore"):
+        u, converged, _, _ = _newton_batch(fn, pr.u0_guess[None], 1e-12)
     return u[0], bool(converged[0])
 
 

@@ -298,13 +298,13 @@ def guarded_sde(problem: SdaeProblem, step: Callable) -> AugmentedSde:
     """The reduced SDE on (x, u) whose guard is ``regular`` of the det its step gives.
 
     ``step(points) -> {"drift", "diffusion", "det"}``, det being that of the
-    matrix the reduction inverts.
+    matrix the reduction inverts.  ``both`` sets no numpy error state; the
+    engine's step loop ignores floating-point errors.
     """
 
     def both(points):
-        with np.errstate(all="ignore"):
-            k = step(points)
-            return regular(k["det"]), k["drift"], k["diffusion"]
+        k = step(points)
+        return regular(k["det"]), k["drift"], k["diffusion"]
 
     return AugmentedSde(dim=problem.n + problem.m, d=problem.d, labels=problem.labels,
                         both=both, problem=problem)
@@ -336,6 +336,9 @@ def _newton_batch(fn, u0, tol):
     built only when their count shows a row that leaves the pending set, and
     the update is masked only once some row has left it; until then it is
     the plain ``u -= delta``, the same float operation on every row.
+
+    It sets no numpy error state: the engine's step loop already ignores
+    floating-point errors, and each one-point caller does so itself.
     """
     u = u0.copy()
     P, m = u.shape
@@ -345,43 +348,42 @@ def _newton_batch(fn, u0, tol):
     pending = np.ones(P, dtype=bool)
     n_pending = P
     scalar = m == 1
-    with np.errstate(all="ignore"):
-        for _ in range(NEWTON_MAX_ITER):
-            res, jac = fn(u)
-            resn = np.abs(res[:, 0]) if scalar else np.abs(res).max(axis=1)
-            done = resn <= tol
-            if np.count_nonzero(done):
-                converged |= pending & done
-                pending = ~converged & ~singular
-                n_pending = np.count_nonzero(pending)
+    for _ in range(NEWTON_MAX_ITER):
+        res, jac = fn(u)
+        resn = np.abs(res[:, 0]) if scalar else np.abs(res).max(axis=1)
+        done = resn <= tol
+        if np.count_nonzero(done):
+            converged |= pending & done
+            pending = ~converged & ~singular
+            n_pending = np.count_nonzero(pending)
+        if not n_pending:
+            break
+        det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
+        ok = regular(det)
+        if np.count_nonzero(ok) < P:
+            bad = pending & ~ok
+            singular |= bad
+            pending &= ~bad
+            n_pending = np.count_nonzero(pending)
             if not n_pending:
                 break
-            det = jac[:, 0, 0] if scalar else np.linalg.det(jac)
-            ok = regular(det)
-            if np.count_nonzero(ok) < P:
-                bad = pending & ~ok
-                singular |= bad
-                pending &= ~bad
-                n_pending = np.count_nonzero(pending)
-                if not n_pending:
-                    break
-            if scalar:
-                delta = res / det[:, None]
-            else:
-                safe = jac if n_pending == P else np.where(pending[:, None, None], jac, _eye(m))
-                delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
-            finite = np.isfinite(delta)
-            if np.count_nonzero(finite) < finite.size:
-                bad_step = pending & ~finite.all(axis=1)
-                singular |= bad_step
-                pending &= ~bad_step
-                n_pending = np.count_nonzero(pending)
-            if n_pending == P:
-                u -= delta
-                iters += 1
-            else:
-                u = np.where(pending[:, None], u - delta, u)
-                iters += pending
+        if scalar:
+            delta = res / det[:, None]
+        else:
+            safe = jac if n_pending == P else np.where(pending[:, None, None], jac, _eye(m))
+            delta = np.linalg.solve(safe, res[:, :, None])[:, :, 0]
+        finite = np.isfinite(delta)
+        if np.count_nonzero(finite) < finite.size:
+            bad_step = pending & ~finite.all(axis=1)
+            singular |= bad_step
+            pending &= ~bad_step
+            n_pending = np.count_nonzero(pending)
+        if n_pending == P:
+            u -= delta
+            iters += 1
+        else:
+            u = np.where(pending[:, None], u - delta, u)
+            iters += pending
     return u, converged, singular, iters
 
 
@@ -552,20 +554,25 @@ def constraint_process(pr: SdaeProblem, path: SamplePath) -> np.ndarray:
     return _g_and_lambda(pr, path)[1]
 
 
-def _g_and_lambda(pr: SdaeProblem, path: SamplePath) -> tuple[np.ndarray, np.ndarray]:
-    """(g, lambda) along the path from one evaluation of the constraint kernel;
-    lambda is g itself when Gamma is zero."""
-    idx = {lab: i for i, lab in enumerate(path.labels)}
+def _constraint_kernel(pr: SdaeProblem, labels: tuple[str, ...]):
+    """``pr.constraint_kernel(labels)``; refuses labels that miss a coordinate
+    g or Gamma reads."""
     needed = set()
     for e in pr.g:
         needed |= expr.free_variables(e)
     for row in pr.gamma:
         for e in row:
             needed |= expr.free_variables(e)
-    missing = [nm for nm in needed if nm not in idx]
+    missing = [nm for nm in needed if nm not in labels]
     if missing:
         raise ValueError(f"path does not expose coordinates {missing}")
-    k = pr.constraint_kernel(path.labels)(path.states)
+    return pr.constraint_kernel(labels)
+
+
+def _g_and_lambda(pr: SdaeProblem, path: SamplePath) -> tuple[np.ndarray, np.ndarray]:
+    """(g, lambda) along the path from one evaluation of the constraint kernel;
+    lambda is g itself when Gamma is zero."""
+    k = _constraint_kernel(pr, path.labels)(path.states)
     g_vals = k["g"]
     K = len(path) - 1
     if pr.gamma_is_zero() or K == 0 or pr.d == 0:

@@ -3,15 +3,29 @@
 Paths are advanced in lockstep across the batch (one numpy step loop), while
 each path's increments come from its own derived seed, so ensembles are
 bit-for-bit reproducible and independent of chunking or thread counts.
-Per-time statistics sum over paths in sorted order, which makes every report
-invariant under path permutation at the bit level.  ``violation_stats`` holds
-one (paths, times) array of |lambda|^2 and one per constraint component of g,
-and per-time alive and violation counts as exact integer vectors.  Each
-array is sorted in place along the path axis, its NaNs (times after a path's
-truncation) are set to 0 and its columns summed; the |lambda|^2 array is then
-squared in place and summed again, since squaring keeps the order of
-non-negative values.  The sums therefore see the same values in the same
-order as a sorted copy would, bit for bit.
+
+``violation_stats`` walks the time grid in blocks of ``_BLOCK`` grid times,
+so its scratch is (paths, block), never (paths, grid): one array of
+|lambda| and one per component of g, reused from block to block, besides
+per-time vectors; the alive counts come once from the path lengths.  In a
+block the paths still alive are evaluated in groups, one kernel call per
+group, and each path carries its left-point sum of Gamma dW into the next
+block.  Times after a path's end are NaN.  Each array is sorted in place
+along the path axis, its NaNs are set to 0 and its columns summed; |lambda|
+is squared first and squared again for the sum of fourth powers, since
+squaring keeps the order of non-negative values.  The sums therefore add the
+same values in the same order as sorting a whole-grid copy would, bit for
+bit, and every report is invariant under path permutation.
+
+That order rests on numpy summing axis 0 of a C-contiguous (paths, times)
+array row after row.  It sums a (paths, 1) array or a transposed (times,
+paths) view pairwise instead, so the scratch is path-major and a width-1
+remainder joins the block before it.  The block is 1000 wide, not 1024:
+with a power-of-two row stride the sort along the path axis ran about three
+times slower.  Two other layouts lost: one kernel call on every path's
+stacked (paths, block, N) rows held kernel temporaries past the memory
+budget and ran slower, and a time-major scratch sorted faster
+but its scattered per-path writes cost more than that.
 
 Truncated paths contribute while alive; the alive count is reported per time
 so confidence intervals stay honest.
@@ -28,9 +42,9 @@ from .integrator import (
     AugmentedSde,
     Ensemble,
     SamplePath,
+    _constraint_kernel,
     _em_batch,
     _extract_path,
-    _g_and_lambda,
     _initial_state,
     _time_grid,
     _write_rows,
@@ -105,16 +119,121 @@ class ViolationReport:
     truncated_paths: int
 
 
+_BLOCK = 1000  # grid times per statistics block: bounds the (paths, block) scratch
+_GROUPS = 32  # kernel calls per block: one group's temporaries stay a small share of the scratch
+
+
 def _sorted_sum(matrix: np.ndarray) -> np.ndarray:
     """Column sums, NaN as 0, that are bitwise invariant under row permutation.
 
     Sorts ``matrix`` in place along axis 0 (NaN last) and zeroes its NaNs, so
     it sums the very array ``np.nansum(np.sort(matrix, axis=0), axis=0)``
-    would, without the two copies.
+    would, without the two copies.  ``matrix`` must be path-major, (paths,
+    times) and C-contiguous, at least two times wide unless the whole grid is
+    one time: numpy then adds its rows one after another.  A (paths, 1) array
+    or a transposed (times, paths) view is summed pairwise instead.
     """
     matrix.sort(axis=0)
     np.copyto(matrix, 0.0, where=np.isnan(matrix))
     return matrix.sum(axis=0)
+
+
+def _block_edges(times: int) -> list[int]:
+    """Edges 0 < ... < times of blocks ``_BLOCK`` wide, the last one up to
+    ``_BLOCK`` + 1: a width-1 remainder joins the block before it, since its
+    (paths, 1) scratch would be summed pairwise."""
+    edges = list(range(0, times, _BLOCK)) + [times]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
+def _copy_padded(dst: np.ndarray, rows: np.ndarray) -> None:
+    """``rows`` into the leading rows of ``dst``, NaN in the rest: a path's
+    rows of a block, which lacks those past the path's end."""
+    dst[: len(rows)] = rows
+    if len(rows) < len(dst):
+        dst[len(rows) :] = np.nan
+
+
+def _block_sums(
+    pr: SdaeProblem,
+    paths: list[SamplePath],
+    lengths: np.ndarray,
+    alive: np.ndarray,
+    epsilon: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per time: the count of |lambda| > epsilon and the sorted sums of
+    |lambda|^2, |lambda|^4 and each component of g, over the alive paths.
+
+    The grid is walked block by block.  ``lam`` (paths, block) holds |lambda|
+    and ``gv`` (p, paths, block) the components of g, NaN after a path's
+    end; both are reused from block to block.  ``paths`` run longest first,
+    so the alive[lo] paths alive at time lo lead.  They are evaluated in
+    groups of about paths/_GROUPS: a group's rows of the block go through
+    one kernel call, and the left-point sum of Gamma dW is carried across
+    blocks per path.
+    """
+    labels = paths[0].labels
+    if any(path.labels != labels for path in paths):
+        raise ValueError("the paths of an ensemble must share their coordinate labels")
+    kernel = _constraint_kernel(pr, labels)
+    noisy = not pr.gamma_is_zero() and pr.d > 0
+    P, N, p, d = len(paths), len(labels), pr.p, pr.d
+    counts = np.empty(len(alive), dtype=np.int64)
+    sum_sq = np.empty(len(alive))
+    sum_4th = np.empty(len(alive))
+    sum_g = np.empty((len(alive), p))
+    edges = _block_edges(len(alive))
+    width = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    G = -(-P // _GROUPS)
+    # flat buffers, so that every block's views of them are C-contiguous
+    lam_buf = np.empty(P * width)
+    g_buf = np.empty(p * P * width)
+    pts_buf = np.empty(G * width * N)
+    if noisy:
+        dw_buf = np.empty(G * width * d)
+        acc_buf = np.empty(G * (width + 1) * p)
+        carry = np.zeros((P, p))
+    for lo, hi in zip(edges, edges[1:]):
+        w, n = hi - lo, alive[lo]
+        lam = lam_buf[: P * w].reshape(P, w)
+        gv = g_buf[: p * P * w].reshape(p, P, w)
+        for s in range(0, n, G):
+            group = paths[s : min(s + G, n)]
+            c = len(group)
+            pts = pts_buf[: c * w * N].reshape(c, w, N)
+            dw = dw_buf[: c * w * d].reshape(c, w, d) if noisy else None
+            for r, path in enumerate(group):
+                _copy_padded(pts[r], path.states[lo:hi])
+                if noisy:
+                    _copy_padded(dw[r], path.dW[lo:hi])
+            k = kernel(pts)
+            g = lam_g = k["g"]
+            if noisy:
+                # row 0 is the sum before lo; cumsum adds one term at a time
+                acc = acc_buf[: c * (w + 1) * p].reshape(c, w + 1, p)
+                acc[:, 0] = carry[s : s + c]
+                acc[:, 1:] = np.einsum("gkpd,gkd->gkp", k["gamma"], dw)
+                np.cumsum(acc, axis=1, out=acc)
+                carry[s : s + c] = acc[:, w]
+                lam_g = g + acc[:, :w]
+            lam[s : s + c] = np.linalg.norm(lam_g, axis=2)
+            gv[:, s : s + c] = g.transpose(2, 0, 1)
+        lam[n:] = np.nan
+        gv[:, n:] = np.nan
+        # a path that ends inside the block: its padded rows are masked by its
+        # length, since a constant g is finite even on NaN points
+        for i in range(alive[hi - 1], n):
+            lam[i, lengths[i] - lo :] = np.nan
+            gv[:, i, lengths[i] - lo :] = np.nan
+        counts[lo:hi] = np.count_nonzero(lam > epsilon, axis=0)
+        # squaring keeps the sorted order of non-negatives and the zeroed NaNs
+        sum_sq[lo:hi] = _sorted_sum(np.square(lam, out=lam))
+        sum_4th[lo:hi] = np.square(lam, out=lam).sum(axis=0)
+        for j in range(p):
+            sum_g[lo:hi, j] = _sorted_sum(gv[j])
+    return counts, sum_sq, sum_4th, sum_g
 
 
 def violation_stats(
@@ -128,20 +247,12 @@ def violation_stats(
     """Empirical violation probability, mean-square constraint, mean constraint."""
     if not ens.paths:
         raise ValueError("ensemble is empty")
-    K = max(len(path) for path in ens.paths) - 1
-    P = len(ens.paths)
-    lam_sq = np.full((P, K + 1), np.nan)
-    g_vals = np.full((pr.p, P, K + 1), np.nan)  # one C-contiguous block per component
-    alive = np.zeros(K + 1, dtype=np.int64)
-    counts = np.zeros(K + 1, dtype=np.int64)
-    for i, path in enumerate(ens.paths):
-        g, lam = _g_and_lambda(pr, path)
-        k = len(path)
-        norms = np.linalg.norm(lam, axis=1)
-        lam_sq[i, :k] = norms**2
-        counts[:k] += norms > epsilon
-        alive[:k] += 1
-        g_vals[:, i, :k] = g.T
+    paths = sorted(ens.paths, key=len, reverse=True)
+    lengths = np.array([len(path) for path in paths])
+    P, K = len(paths), int(lengths[0]) - 1
+    # alive[t] counts the paths longer than t
+    alive = np.bincount(lengths, minlength=K + 2)[:0:-1].cumsum()[::-1]
+    counts, sum_sq, sum_4th, sum_g = _block_sums(pr, paths, lengths, alive, epsilon)
     with np.errstate(invalid="ignore", divide="ignore"):
         phat = counts / alive
         denom = 1.0 + _Z95**2 / alive
@@ -151,17 +262,15 @@ def violation_stats(
             * np.sqrt(phat * (1 - phat) / alive + _Z95**2 / (4 * alive**2))
             / denom
         )
-        mean_sq = _sorted_sum(lam_sq) / alive
-        # squaring keeps the sorted order of non-negatives and the zeroed NaNs
-        sq_of_sq = np.square(lam_sq, out=lam_sq).sum(axis=0) / alive
-        var_sq = np.maximum(sq_of_sq - mean_sq**2, 0.0)
+        mean_sq = sum_sq / alive
+        var_sq = np.maximum(sum_4th / alive - mean_sq**2, 0.0)
         se = np.sqrt(var_sq / np.maximum(alive, 1))
-        mean_g = np.stack([_sorted_sum(g_vals[j]) / alive for j in range(pr.p)], axis=1)
+        mean_g = sum_g / alive[:, None]
     t_grid = np.arange(K + 1, dtype=float) * ens.dt
     bound = None
     if b is not None and J is not None:
         bound = J * (1.0 - np.exp(-2.0 * b * t_grid)) / (2.0 * b)
-    completed = sum(1 for path in ens.paths if path.status.completed)
+    completed = sum(1 for path in paths if path.status.completed)
     # the Wilson interval contains phat by construction; clamp away 1-ulp wobble
     lo = np.minimum(np.maximum(center - half, 0.0), phat)
     hi = np.maximum(np.minimum(center + half, 1.0), phat)

@@ -295,7 +295,8 @@ def consistent_init(
         k = composed(u)
         return k["z"], k["jac"]
 
-    u, converged, singular, _ = _newton_batch(fn, v[None], 1e-12)
+    with np.errstate(all="ignore"):
+        u, converged, singular, _ = _newton_batch(fn, v[None], 1e-12)
     if converged[0]:
         return u[0]
     with np.errstate(all="ignore"):

@@ -367,6 +367,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "b = 275" in err and "dt = 0.01" in err and "2/b = 0.00727273" in err
         assert not [p for p in out_dir.rglob("*") if p.is_file()]
+        assert not out_dir.exists()
 
     def test_index1_inconsistent_initial_value_exit_3(self, tmp_path, capsys):
         # g = u1 - x1 is 4 at x = 1, u = 5: the index-1 method must refuse it

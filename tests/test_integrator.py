@@ -517,7 +517,8 @@ def newton_rows(kinds, c, A, event, bad):
 
 
 def assert_newton_equals_reference(kinds, c, A, u0, event, bad, tol):
-    got = integrator._newton_batch(newton_rows(kinds, c, A, event, bad), u0, tol)
+    with np.errstate(all="ignore"):  # left to the caller, as in the engine's step loop
+        got = integrator._newton_batch(newton_rows(kinds, c, A, event, bad), u0, tol)
     want = newton_batch_reference(newton_rows(kinds, c, A, event, bad), u0, tol)
     assert got[0].tobytes() == want[0].tobytes()
     for a, b in zip(got[1:], want[1:], strict=True):
@@ -563,11 +564,12 @@ class TestNewtonReference:
         assert_newton_equals_reference(kinds, c, 2.0 * np.eye(m) + 0.3 * R, u0, event, bad, tol)
 
 
-# Python-level calls per engine step with 8 live paths: 34.1 (bounded Newton,
-# two iterates) and 11.1 (index-1) measured with numpy 2.4, plus 25%.  While
-# every path lives the step loop's bookkeeping is a fixed set of counts, so
+# Python-level calls per engine step with 8 live paths: 31.05 (bounded Newton,
+# two iterates) and 8.05 (index-1) measured with numpy 2.4, plus 25%.  While
+# every path lives the step loop's bookkeeping is a fixed set of counts, and
+# neither the step nor the Newton solve enters a numpy errstate of its own, so
 # this holds the lean loop on any host, where a timing could not.
-CALL_BUDGET_PER_STEP = {"bounded-newton": 42.6, "index1": 13.9}
+CALL_BUDGET_PER_STEP = {"bounded-newton": 38.8, "index1": 10.1}
 
 
 def python_calls(run):

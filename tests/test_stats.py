@@ -4,12 +4,14 @@ import dataclasses
 import io
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdaekit import stats
 from sdaekit.bounded import BoundedMConfig, run_bounded_ensemble, verify_bound
 from sdaekit.expr import parse
 from sdaekit.index1 import index1_setup
@@ -142,6 +144,25 @@ def test_memory_budget():
         tracemalloc.stop()
     K = max(len(p) for p in ens.paths) - 1
     assert extra <= (pr.p + 2) * len(ens.paths) * (K + 1) * 8
+
+
+def test_stats_memory_does_not_grow_with_the_grid():
+    """Over eight blocks, verify_bound holds a (paths, block) scratch per
+    array and per-time vectors, never a (paths, times) array."""
+    pr = builtin("paper-example")
+    cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2, 2), (-5, 5)], b=11.0, J_raw=4.0)
+    verify_bound(run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 2, 0, chunk=16), cfg)  # warm caches
+    ens = run_bounded_ensemble(pr, cfg, 1e-3, 8.0, 64, 5, chunk=64)
+    K = max(len(p) for p in ens.paths) - 1
+    assert len(stats._block_edges(K + 1)) - 1 >= 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify_bound(ens, cfg)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra <= (pr.p + 2) * len(ens.paths) * stats._BLOCK * 8 + 16 * (K + 1) * 8
 
 
 class TestViolationStats:
@@ -381,3 +402,47 @@ def test_violation_stats_matches_reference_bitwise(case, epsilon, data):
     shuffled = Ensemble(paths=[ens.paths[i] for i in order], dt=ens.dt, T=ens.T,
                         base_seed=0, problem=pr)
     _assert_bitwise_equal(violation_stats(pr, shuffled, epsilon, b=2.0, J=1.0), got)
+
+
+@pytest.mark.parametrize(("block", "groups"), [(2, 32), (3, 3)])
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=hand_built_ensembles(), epsilon=st.sampled_from([0.0, 0.5, np.inf]), data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blocked_violation_stats_match_reference_bitwise(block, groups, case, epsilon, data):
+    """The reference check, permutation half included, with blocks of 2 or 3
+    grid times (a width-1 remainder joins its neighbour) and with one path
+    or several per kernel call."""
+    with patch.object(stats, "_BLOCK", block), patch.object(stats, "_GROUPS", groups):
+        test_violation_stats_matches_reference_bitwise.hypothesis.inner_test(case, epsilon, data)
+
+
+def test_block_edges_match_reference_bitwise():
+    """K + 1 = 2 _BLOCK + 1 grid times, 20 noisy paths, one of them ending
+    inside the second block; g has a constant component, finite on the
+    NaN-padded rows past that path's end."""
+    rng = np.random.default_rng(7)
+    times = 2 * stats._BLOCK + 1
+    assert stats._block_edges(times) == [0, stats._BLOCK, times]
+    labels = ("x1", "x2")
+    pr = SdaeProblem(
+        n=2, m=1, p=2, d=2,
+        f=[parse("0")] * 2, sigma=[[parse("1"), parse("0")], [parse("0"), parse("1")]],
+        g=[parse("x1*x2 - 0.5*x1^2"), parse("1")],
+        gamma=[[parse("0.3"), parse("0.1*x2")], [parse("0"), parse("0.2")]],
+        x0=[0.0, 0.0], u0_guess=[0.0],
+    )
+    paths = []
+    for i in range(20):
+        k = stats._BLOCK + 37 if i == 11 else times
+        status = (
+            PathStatus(StatusKind.COMPLETED) if k == times
+            else PathStatus(StatusKind.DOMAIN_ERROR, k - 1)
+        )
+        paths.append(SamplePath(
+            dt=0.01, t_grid=np.arange(k) * 0.01, states=rng.standard_normal((k, 2)),
+            dW=0.1 * rng.standard_normal((k - 1, 2)), seed=None, status=status, labels=labels,
+        ))
+    ens = Ensemble(paths=paths, dt=0.01, T=(times - 1) * 0.01, base_seed=0, problem=pr)
+    got = violation_stats(pr, ens, 1.0, b=2.0, J=1.0)
+    assert got.alive[stats._BLOCK + 36] == 20 and got.alive[stats._BLOCK + 37] == 19
+    _assert_bitwise_equal(got, _reference_violation_stats(pr, ens, 1.0, b=2.0, J=1.0))
