@@ -377,8 +377,18 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
     return ens, info
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse, before any work, an --out that cannot be made a directory: the
+    nearest part of it that exists must be a directory this process can write."""
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    _require(existing.is_dir(), f"--out {out}: {existing} is not a directory")
+    _require(os.access(existing, os.W_OK | os.X_OK), f"--out {out}: {existing} is not writable")
+
+
 def _cmd_solve(args) -> int:
     _check_solve_flags(args)
+    _check_out_dir(args.out)
     pr = _load(args.file)
     box, y_box = _solve_boxes(pr, args)
     ens, info = _solve_ensemble(pr, args, box, y_box)

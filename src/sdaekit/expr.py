@@ -382,7 +382,9 @@ def _prec(e: Expression) -> int:
 
 def _format_number(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) <= 1e16:
-        return str(int(v))
+        return "-0" if v == 0 and math.copysign(1.0, v) < 0 else str(int(v))  # int(-0.0) is 0
+    if math.isinf(v):
+        return "-1e999" if v < 0 else "1e999"  # the literal that parses to inf
     return repr(v)
 
 

@@ -15,7 +15,13 @@ Every method runs on one engine, ``_em_batch``.  Each step makes one call
 from the same evaluation as its coefficients (``guarded_sde`` builds it for
 the closed-form reductions).  Methods that keep part of the state on a
 constraint (bounded Newton) add a ``project`` hook that fills those columns
-after the step.
+after the step.  The engine fills a batch's buffers in place (``_Chunk``,
+one byte buffer per batch), and a path is a view of its row.
+``stats.run_ensemble`` runs its chunks in forked worker processes when it
+has two or more and several CPUs; a worker's chunk buffers are a shared
+mapping that it writes and the caller reads, so nothing is copied back.  An
+SDE's callables must therefore be pure functions of their arguments:
+whatever they change in a worker is lost when the worker exits.
 
 Every algebraic solve in the package runs on one batched Newton loop,
 ``_newton_batch``, whose ``(u, converged, singular, iters)`` result is the
@@ -38,7 +44,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from . import expr
+from . import _workers, expr
 from .problem import SdaeProblem, regular
 
 __all__ = [
@@ -387,36 +393,61 @@ def _newton_batch(fn, u0, tol):
     return u, converged, singular, iters
 
 
-def _em_batch(
-    sde: AugmentedSde,
-    init: np.ndarray,
-    dt: float,
-    steps: int,
-    dW: np.ndarray,
-):
-    """Advance a batch of paths; returns (states, stop_index, kind_code, iters).
+@dataclass
+class _Chunk:
+    """One batch's engine buffers, views into one byte buffer.
 
-    ``iters`` holds the per-path sum of the projection's iterations, or is
-    None without a ``project`` hook.  The state is updated in place, in
-    preallocated buffers, with the same float operations in the same order
-    as X + f dt + sum_j sigma_j dW_j.
-
-    Every test is a count.  The guard, finiteness and projection masks are
-    built only when their count shows a failure, and the state and iteration
-    updates are masked only once some path has ended; until then they are
-    the plain forms, which give every row the same values.
+    The caller writes the initial points into ``states[:, 0]`` and the
+    increments into ``dW``; ``_em_batch`` fills the rest in place.
     """
-    P, N = init.shape
+
+    states: np.ndarray  # (P, steps + 1, dim)
+    dW: np.ndarray  # (P, steps, d)
+    stop: np.ndarray  # (P,) int64: the step a path ended at, steps if it completed
+    kind: np.ndarray  # (P,) int8: index into _KIND_ORDER
+    iters: np.ndarray | None  # (P,) int64 projection iterations, None without ``project``
+
+
+def _chunk_buffers(sde: AugmentedSde, P: int, steps: int, shared: bool = False) -> _Chunk:
+    """The buffers of a P-path batch, carved from one uint8 array: an
+    ordinary one, or (``shared``) a mapping that a forked worker writes into."""
+    shapes = [((P, steps + 1, sde.dim), np.float64), ((P, steps, sde.d), np.float64),
+              ((P,), np.int64), ((P,), np.int64), ((P,), np.int8)]  # int8 last: 8-aligned offsets
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in shapes]
+    nbytes = sum(sizes)
+    buf = _workers.shared(nbytes) if shared else np.empty(nbytes, dtype=np.uint8)
+    views, offset = [], 0
+    for (shape, dtype), size in zip(shapes, sizes):
+        views.append(buf[offset : offset + size].view(dtype).reshape(shape))
+        offset += size
+    states, dW, stop, iters, kind = views
+    return _Chunk(states=states, dW=dW, stop=stop, kind=kind,
+                  iters=None if sde.project is None else iters)
+
+
+def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
+    """Advance a batch of paths from ``buf.states[:, 0]`` with ``buf.dW``,
+    filling ``buf`` in place: the states, and each path's stop step, status
+    code and (with a ``project`` hook) summed projection iterations.
+
+    The state is updated with the same float operations in the same order
+    as X + f dt + sum_j sigma_j dW_j.  Every test is a count.  The guard,
+    finiteness and projection masks are built only when their count shows a
+    failure, and the state and iteration updates are masked only once some
+    path has ended; until then they are the plain forms, which give every
+    row the same values.
+    """
+    states, dW, stop, kind, iters = buf.states, buf.dW, buf.stop, buf.kind, buf.iters
+    P, steps = dW.shape[:2]
     step = _step_fn(sde)
     project = sde.project
-    states = np.empty((P, steps + 1, N))
-    states[:, 0] = init
-    stop = np.full(P, steps, dtype=np.int64)
-    kind = np.zeros(P, dtype=np.int8)
+    stop.fill(steps)
+    kind.fill(0)
+    if iters is not None:
+        iters.fill(0)
     alive = np.ones(P, dtype=bool)
     n_alive = P
-    iters = None if project is None else np.zeros(P, dtype=np.int64)
-    x = init.astype(float)
+    x = states[:, 0].copy()
 
     def end(mask, code, k):
         nonlocal n_alive
@@ -470,7 +501,6 @@ def _em_batch(
                 else:
                     np.copyto(x[:, n:], u, where=alive[:, None])
             states[:, k + 1] = x
-    return states, stop, kind, iters
 
 
 def _initial_state(sde: AugmentedSde, init) -> np.ndarray:
@@ -489,31 +519,24 @@ def _time_grid(steps: int, dt: float) -> np.ndarray:
 
 
 def _extract_path(
-    sde: AugmentedSde,
-    states: np.ndarray,
-    stop: int,
-    kind_code: int,
-    dt: float,
-    t_grid: np.ndarray,
-    dW: np.ndarray,
-    seed: int | None,
-    iters: int | None = None,
+    sde: AugmentedSde, buf: _Chunk, k: int, dt: float, t_grid: np.ndarray, seed: int | None
 ) -> SamplePath:
-    """One path as views: its own row of the batch's ``states`` and ``dW``
-    and a prefix of the shared ``t_grid`` (of steps + 1 points)."""
+    """Path k of a batch as views: its own row of ``buf.states`` and
+    ``buf.dW`` and a prefix of the shared ``t_grid`` (of steps + 1 points)."""
     steps = t_grid.shape[0] - 1
-    kind = _KIND_ORDER[kind_code]
+    kind = _KIND_ORDER[buf.kind[k]]
+    stop = int(buf.stop[k])
     last = stop if kind is not StatusKind.COMPLETED else steps
-    status = PathStatus(kind, None if kind is StatusKind.COMPLETED else int(stop))
+    status = PathStatus(kind, None if kind is StatusKind.COMPLETED else stop)
     return SamplePath(
         dt=dt,
         t_grid=t_grid[: last + 1],
-        states=states[: last + 1],
-        dW=dW[:last],
+        states=buf.states[k, : last + 1],
+        dW=buf.dW[k, :last],
         seed=seed,
         status=status,
         labels=sde.labels,
-        metadata={} if iters is None else {"newton_iterations": int(iters)},
+        metadata={} if buf.iters is None else {"newton_iterations": int(buf.iters[k])},
     )
 
 
@@ -536,12 +559,11 @@ def euler_maruyama(
             f"need at least ceil(T/dt) = {steps} increment rows, got {increments.shape[0]}"
         )
     init = _initial_state(sde, init)
-    dW = increments[None, :steps].copy()  # the path must not alias the caller's array
-    states, stop, kind, iters = _em_batch(sde, init[None], dt, steps, dW)
-    return _extract_path(
-        sde, states[0], int(stop[0]), int(kind[0]), dt, _time_grid(steps, dt), dW[0], seed,
-        None if iters is None else iters[0],
-    )
+    buf = _chunk_buffers(sde, 1, steps)
+    buf.states[0, 0] = init
+    buf.dW[0] = increments[:steps]  # a copy: the path must not alias the caller's array
+    _em_batch(sde, dt, buf)
+    return _extract_path(sde, buf, 0, dt, _time_grid(steps, dt), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,17 @@
 
 Paths are advanced in lockstep across the batch (one numpy step loop), while
 each path's increments come from its own derived seed, so ensembles are
-bit-for-bit reproducible and independent of chunking or thread counts.
+bit-for-bit reproducible and independent of chunking or process counts.
+``run_ensemble`` spreads two or more chunks over W = min(chunks, usable
+CPUs) processes, itself included: it forks W - 1 workers (``_workers``) and
+chunk i runs in process i % W, drawing its own noise and writing its paths
+into that chunk's buffers.  A worker's chunk lives in an anonymous shared
+mapping, the caller's own chunks in ordinary arrays, and every path is a
+view of its chunk.  Nothing is forked with one chunk, one usable CPU, no
+``os.fork`` or another Python thread alive.  The SDE's callables must be
+pure: what they change in a worker (caches, counters, timers, warnings
+registries) is lost, and a worker's exception is re-raised in the caller
+with its type once every worker is reaped.
 
 ``violation_stats`` walks the time grid in blocks of ``_BLOCK`` grid times,
 so its scratch is (paths, block), never (paths, grid): one array of
@@ -38,10 +48,12 @@ from typing import TextIO
 
 import numpy as np
 
+from . import _workers
 from .integrator import (
     AugmentedSde,
     Ensemble,
     SamplePath,
+    _chunk_buffers,
     _constraint_kernel,
     _em_batch,
     _extract_path,
@@ -70,28 +82,44 @@ def run_ensemble(
     chunk: int = 256,
     problem: SdaeProblem | None = None,
 ) -> Ensemble:
-    """Simulate `paths` trajectories with per-path seeds derived from base_seed."""
+    """Simulate `paths` trajectories with per-path seeds derived from base_seed.
+
+    Paths run in contiguous chunks of ``chunk``, one engine batch each.  Two
+    or more chunks are spread over W = min(chunks, usable CPUs) processes,
+    this one included: chunk i runs in process i % W.  A forked worker's
+    chunks live in anonymous shared mappings, this process's own in ordinary
+    arrays, and each path is a view of its chunk.  W is 1 with one usable
+    CPU, no ``os.fork``, or another Python thread alive.  The paths are the
+    same bit for bit at any W, provided the SDE's callables are pure: what
+    they change in a worker is lost.  A worker's exception is re-raised here
+    with its type, after every worker is reaped.
+    """
     if paths < 1:
         raise ValueError("paths must be >= 1")
     steps = n_steps(T, dt)
     init = _initial_state(sde, init)
     t_grid = _time_grid(steps, dt)
-    out: list[SamplePath] = []
-    for start in range(0, paths, chunk):
-        count = min(chunk, paths - start)
-        seeds = [derive_seed(base_seed, start + k) for k in range(count)]
-        dW = np.empty((count, steps, sde.d))
-        for k, s in enumerate(seeds):
-            dW[k] = wiener_increments(s, steps, sde.d, dt)
-        init_batch = np.tile(init, (count, 1))
-        states, stop, kind, iters = _em_batch(sde, init_batch, dt, steps, dW)
-        for k in range(count):
-            out.append(
-                _extract_path(
-                    sde, states[k], int(stop[k]), int(kind[k]), dt, t_grid, dW[k], seeds[k],
-                    None if iters is None else iters[k],
-                )
-            )
+    seeds = [derive_seed(base_seed, k) for k in range(paths)]
+    starts = range(0, paths, chunk)
+    workers = _workers.count(len(starts))
+    bufs = [
+        _chunk_buffers(sde, min(chunk, paths - start), steps, shared=i % workers != 0)
+        for i, start in enumerate(starts)
+    ]
+
+    def run_chunk(i: int) -> None:
+        buf = bufs[i]
+        for k, dW in enumerate(buf.dW):
+            dW[:] = wiener_increments(seeds[starts[i] + k], steps, sde.d, dt)
+        buf.states[:, 0] = init
+        _em_batch(sde, dt, buf)
+
+    _workers.run(run_chunk, len(bufs), workers)
+    out = [
+        _extract_path(sde, buf, k, dt, t_grid, seeds[start + k])
+        for start, buf in zip(starts, bufs)
+        for k in range(len(buf.dW))
+    ]
     return Ensemble(
         paths=out,
         dt=dt,

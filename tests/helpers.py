@@ -9,6 +9,10 @@ mask-per-iterate form.
 
 from __future__ import annotations
 
+import mmap
+import os
+from unittest import mock
+
 import numpy as np
 
 from sdaekit import integrator
@@ -57,6 +61,19 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
 def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value via dense SVD."""
     return float(np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)[0])
+
+
+def usable_cpus(n: int):
+    """Context manager under which ensembles see n usable CPUs, so they run
+    in at most n processes."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def in_shared_mapping(a: np.ndarray) -> bool:
+    """Whether ``a`` views a forked worker's shared mapping."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(getattr(a, "obj", a), mmap.mmap)  # numpy may hold a memoryview
 
 
 def newton_batch_reference(fn, u0, tol):

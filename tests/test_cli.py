@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -368,6 +369,17 @@ class TestSolve:
         assert "b = 275" in err and "dt = 0.01" in err and "2/b = 0.00727273" in err
         assert not [p for p in out_dir.rglob("*") if p.is_file()]
         assert not out_dir.exists()
+
+    def test_out_below_a_regular_file_exit_1_before_the_solve(self, linear_file, tmp_path, capsys):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept\n")
+        with patch("sdaekit.cli.run_ensemble", side_effect=AssertionError("solve ran")):
+            rc = main(["solve", str(linear_file), "--method", "index1", "--dt", "1e-2",
+                       "--t-end", "0.1", "--paths", "2", "--out", str(blocker / "sub")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {blocker / 'sub'}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
 
     def test_index1_inconsistent_initial_value_exit_3(self, tmp_path, capsys):
         # g = u1 - x1 is 4 at x = 1, u = 5: the index-1 method must refuse it

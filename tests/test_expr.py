@@ -296,6 +296,39 @@ def shared_dags(draw):
     return vector, matrix
 
 
+def tree_size(e, memo):
+    """Nodes of e written out as a tree: what to_text spells out."""
+    if id(e) not in memo:
+        children = [e.child] if isinstance(e, Unary) else (
+            [e.left, e.right] if isinstance(e, Binary) else [])
+        memo[id(e)] = 1 + sum(tree_size(c, memo) for c in children)
+    return memo[id(e)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag=shared_dags())
+def test_print_parse_round_trip_on_random_dags(dag):
+    """parse(to_text(e)) == e, to the sign and bits of every constant
+    (repr tells -0.0 from 0.0), for e the parse of a random entry's text.
+
+    The entries are built without folding; parsing folds, so only a parsed
+    expression can come back from parse unchanged."""
+    vector, matrix = dag
+    memo = {}
+    for entry in [*vector, *(e for row in matrix for e in row)]:
+        if tree_size(entry, memo) > 2000:  # the text of a deep DAG grows exponentially
+            continue
+        e = parse(to_text(entry))
+        assert repr(parse(to_text(e))) == repr(e)
+
+
+@pytest.mark.parametrize("value, text", [(-0.0, "-0"), (math.inf, "1e999"), (-math.inf, "-1e999")])
+def test_signed_zero_and_infinite_constants_print_parseably(value, text):
+    for e in (Constant(value), Binary("div", Variable("x1"), Constant(value))):
+        assert repr(parse(to_text(e))) == repr(e)
+    assert to_text(Constant(value)) == text
+
+
 kernel_points = st.lists(
     st.lists(
         st.one_of(

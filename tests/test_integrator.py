@@ -604,11 +604,11 @@ def budget_case(name):
 def test_step_loop_call_budget(name):
     sde, init, dt = budget_case(name)
     steps, P = 200, 8
-    dW = np.stack([wiener_increments(derive_seed(1, k), steps, sde.d, dt) for k in range(P)])
-    init = np.tile(init, (P, 1))
-    (_, stop, kind, _), calls = python_calls(
-        lambda: integrator._em_batch(sde, init, dt, steps, dW))
-    assert (stop == steps).all() and (kind == 0).all()  # every path lives
+    buf = integrator._chunk_buffers(sde, P, steps)
+    buf.dW[:] = [wiener_increments(derive_seed(1, k), steps, sde.d, dt) for k in range(P)]
+    buf.states[:, 0] = init
+    _, calls = python_calls(lambda: integrator._em_batch(sde, dt, buf))
+    assert (buf.stop == steps).all() and (buf.kind == 0).all()  # every path lives
     reached = {fn for (path, fn) in calls if path.endswith("_methods.py")}
     assert not reached & {"_any", "_all"}
     assert sum(calls.values()) / steps <= CALL_BUDGET_PER_STEP[name]

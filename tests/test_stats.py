@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import in_shared_mapping, usable_cpus
 from sdaekit import stats
 from sdaekit.bounded import BoundedMConfig, run_bounded_ensemble, verify_bound
 from sdaekit.expr import parse
@@ -126,14 +127,18 @@ class TestEnsembleViews:
 
 
 def test_memory_budget():
-    """No per-path copies while integrating; statistics within (p + 2) arrays."""
+    """No per-path copies while integrating; statistics within (p + 2) arrays.
+
+    In one process, so that tracemalloc sees every chunk: a forked worker's
+    chunk is a shared mapping it does not trace (see the next test)."""
     pr = builtin("paper-example")
     cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2, 2), (-5, 5)], b=11.0, J_raw=4.0)
     verify_bound(run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 2, 0, chunk=16), cfg)  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ens = run_bounded_ensemble(pr, cfg, 1e-3, 1.0, 64, 5, chunk=16)
+        with usable_cpus(1):
+            ens = run_bounded_ensemble(pr, cfg, 1e-3, 1.0, 64, 5, chunk=16)
         held, peak = tracemalloc.get_traced_memory()
         assert peak - base <= 1.05 * (held - base)
         tracemalloc.reset_peak()
@@ -144,6 +149,30 @@ def test_memory_budget():
         tracemalloc.stop()
     K = max(len(p) for p in ens.paths) - 1
     assert extra <= (pr.p + 2) * len(ens.paths) * (K + 1) * 8
+
+
+def test_forked_chunks_make_no_copies():
+    """With two processes, chunks 1 and 3 run in a worker: their paths view
+    the worker's shared mapping, chunks 0 and 2 are this process's own, and
+    at no time does this process hold a worker chunk's worth of copies."""
+    pr = builtin("paper-example")
+    cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2, 2), (-5, 5)], b=11.0, J_raw=4.0)
+    with usable_cpus(2):
+        run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 4, 0, chunk=2)  # warm caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = run_bounded_ensemble(pr, cfg, 1e-3, 1.0, 64, 5, chunk=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    chunks = [ens.paths[i : i + 16] for i in range(0, 64, 16)]
+    raws = [chunk[0].states.base for chunk in chunks]
+    for i, (chunk, raw) in enumerate(zip(chunks, raws)):
+        assert all(p.states.base is raw and p.dW.base is raw for p in chunk)
+        assert in_shared_mapping(raw) == (i % 2 == 1)
+    own = raws[0].nbytes + raws[2].nbytes
+    assert peak - base < own + min(raws[1].nbytes, raws[3].nbytes)
 
 
 def test_stats_memory_does_not_grow_with_the_grid():
