@@ -1,14 +1,16 @@
-"""Forked worker processes for the chunks of an ensemble.
+"""Forked worker processes for independent jobs: the chunks of an ensemble,
+and the output files of a CLI solve.
 
-``count(jobs)`` is the number of processes a run of ``jobs`` chunks uses:
+``count(jobs)`` is the number of processes a run of ``jobs`` jobs uses:
 W = min(jobs, usable CPUs), the caller included, or 1 when there is one
 job, one usable CPU, no ``os.fork``/``os.sched_getaffinity``, or another
 Python thread alive (forking a process with threads is unsafe).
 ``run(job, jobs, W)`` calls ``job(i)`` for every i, job i in process i % W;
 process 0 is the caller, which forks the W - 1 workers before it runs its
-own jobs.  A job writes its results into buffers from ``shared``, anonymous
-shared mappings made before the fork, so nothing is copied back; whatever
-else a job changes in a worker is lost when the worker exits.
+own jobs.  Whatever a job changes in a worker's memory is lost when the
+worker exits, so a worker's results must leave it another way: an ensemble
+chunk writes into buffers from ``shared``, anonymous shared mappings made
+before the fork, and an output job writes its file.
 
 A worker exits only through ``os._exit``.  It sends an exception to the
 caller pickled through a pipe, with its traceback as a note, and the caller
@@ -55,7 +57,11 @@ def shared(nbytes: int) -> np.ndarray:
 
 
 def run(job: Callable[[int], None], jobs: int, workers: int) -> None:
-    """``job(i)`` for i in range(jobs), job i in process i % workers."""
+    """``job(i)`` for i in range(jobs), job i in process i % workers.
+
+    A job's return value is discarded; only what the caller's own jobs change
+    is kept in this process.  A worker's exception is re-raised here with its
+    type once every worker is reaped."""
     parent = os.getpid()
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
     try:

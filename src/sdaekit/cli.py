@@ -7,6 +7,15 @@ checks that run against a new epsilon and alpha, keeping its gain b and J.
 All randomness flows from the single --seed flag.  Each method's set-up is
 the library's own, shared with its single-path solver.
 
+A solve's output phase may fork (``_workers``): the report and each saved
+path CSV are independent jobs, spread over W = min(saved paths + 1, usable
+CPUs) processes.  This process computes the statistics and writes
+``report.csv``; a forked worker's only result is the files it writes.  The
+manifest is written only once every output job has succeeded, and a
+worker's exception is re-raised here with its type, after every worker is
+reaped.  Nothing is forked without a saved path, with one usable CPU, no
+``os.fork``, or another Python thread alive.
+
 Exit codes: 0 success, 1 usage (a malformed command line, a flag value out
 of range, or a flag the chosen run never reads given a value other than its
 default), 2 invalid problem, 3 method precondition failed, 4 runtime failure
@@ -26,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _workers
 from .bounded import (
     BoundedMConfig,
     SolveMode,
@@ -400,19 +409,25 @@ def _cmd_solve(args) -> int:
     outputs = ["problem.sdae"]
 
     epsilon = info.get("epsilon", args.epsilon if args.epsilon else float("inf"))
-    report = violation_stats(pr, ens, epsilon,
-                             b=info.get("b"), J=info.get("J_raw"))
-    with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
-        write_report_csv(report, fh)
-    outputs.append("report.csv")
-
+    saved = ens.paths[: args.save_paths]
+    rels = [f"paths/path_{k:05d}.csv" for k in range(len(saved))]
     (out_dir / "paths").mkdir(exist_ok=True)
-    for k, path in enumerate(ens.paths[: args.save_paths]):
-        lam = constraint_process(pr, path)
-        rel = f"paths/path_{k:05d}.csv"
-        with open(out_dir / rel, "w", encoding="utf-8") as fh:
-            write_path_csv(path, lam, fh)
-        outputs.append(rel)
+    report = None  # job 0's, which runs in this process
+
+    def output(i: int) -> None:
+        """Job 0 writes the report, job k >= 1 saved path k - 1."""
+        nonlocal report
+        if i == 0:
+            report = violation_stats(pr, ens, epsilon, b=info.get("b"), J=info.get("J_raw"))
+            with open(out_dir / "report.csv", "w", encoding="utf-8") as fh:
+                write_report_csv(report, fh)
+            return
+        path = saved[i - 1]
+        with open(out_dir / rels[i - 1], "w", encoding="utf-8") as fh:
+            write_path_csv(path, constraint_process(pr, path), fh)
+
+    _workers.run(output, len(saved) + 1, _workers.count(len(saved) + 1))
+    outputs += ["report.csv", *rels]
 
     manifest = {
         "tool": "sdae",

@@ -122,7 +122,8 @@ Expression = Union[Constant, Variable, Unary, Binary]
 
 # ---------------------------------------------------------------------------
 # Smart constructors.  Folding is deliberately conservative: constants are
-# combined and multiplicative/additive identities removed, nothing else.
+# combined where the result is finite and multiplicative/additive identities
+# removed, nothing else.
 # ---------------------------------------------------------------------------
 
 
@@ -138,10 +139,17 @@ def _cv(e: Expression) -> float | None:
     return e.value if isinstance(e, Constant) else None
 
 
+def _fold(v: float, op: str, a: Expression, b: Expression) -> Expression:
+    """Constant(v), the value of ``a op b``, when it is finite; else the node
+    itself.  A fold to inf or nan is not made, as in pow_ and func: nan would
+    print as text that does not parse."""
+    return Constant(v) if math.isfinite(v) else Binary(op, a, b)
+
+
 def add(a: Expression, b: Expression) -> Expression:
     ca, cb = _cv(a), _cv(b)
     if ca is not None and cb is not None:
-        return Constant(ca + cb)
+        return _fold(ca + cb, "add", a, b)
     if ca == 0.0:
         return b
     if cb == 0.0:
@@ -152,7 +160,7 @@ def add(a: Expression, b: Expression) -> Expression:
 def sub(a: Expression, b: Expression) -> Expression:
     ca, cb = _cv(a), _cv(b)
     if ca is not None and cb is not None:
-        return Constant(ca - cb)
+        return _fold(ca - cb, "sub", a, b)
     if cb == 0.0:
         return a
     if ca == 0.0:
@@ -163,24 +171,20 @@ def sub(a: Expression, b: Expression) -> Expression:
 def mul(a: Expression, b: Expression) -> Expression:
     ca, cb = _cv(a), _cv(b)
     if ca is not None and cb is not None:
-        return Constant(ca * cb)
+        return _fold(ca * cb, "mul", a, b)
     if ca == 0.0 or cb == 0.0:
         return Constant(0.0)
     if ca == 1.0:
         return b
     if cb == 1.0:
         return a
-    # fold a constant into a neighbouring constant*expr product
-    if ca is not None and isinstance(b, Binary) and b.op == "mul":
-        if _cv(b.left) is not None:
-            return mul(Constant(ca * b.left.value), b.right)
-        if _cv(b.right) is not None:
-            return mul(Constant(ca * b.right.value), b.left)
-    if cb is not None and isinstance(a, Binary) and a.op == "mul":
-        if _cv(a.left) is not None:
-            return mul(Constant(cb * a.left.value), a.right)
-        if _cv(a.right) is not None:
-            return mul(Constant(cb * a.right.value), a.left)
+    # fold a constant into a neighbouring constant*expr product, unless the
+    # product overflows: 2*(1e308*x1) as inf*x1 would be nan at x1 = 0
+    c, prod = (ca, b) if ca is not None else (cb, a)
+    if c is not None and isinstance(prod, Binary) and prod.op == "mul":
+        for inner, rest in ((prod.left, prod.right), (prod.right, prod.left)):
+            if isinstance(inner, Constant) and math.isfinite(c * inner.value):
+                return mul(Constant(c * inner.value), rest)
     return Binary("mul", a, b)
 
 
@@ -188,7 +192,7 @@ def div(a: Expression, b: Expression) -> Expression:
     ca, cb = _cv(a), _cv(b)
     if cb is not None and cb != 0.0:
         if ca is not None:
-            return Constant(ca / cb)
+            return _fold(ca / cb, "div", a, b)
         if cb == 1.0:
             return a
     return Binary("div", a, b)

@@ -184,6 +184,24 @@ def _copy_padded(dst: np.ndarray, rows: np.ndarray) -> None:
         dst[len(rows) :] = np.nan
 
 
+def _row_norms(v: np.ndarray, out: np.ndarray) -> None:
+    """``np.linalg.norm(v, axis=-1)`` into ``out``, bit for bit.
+
+    With fewer than 8 components numpy adds the squares one after another, so
+    a sum over the components, one numpy call each, gives the same bits
+    without numpy's inner-loop call per row.  From 8 components on numpy sums
+    pairwise, and ``norm`` itself is used.
+    """
+    p = v.shape[-1]
+    if p >= 8:
+        out[...] = np.linalg.norm(v, axis=-1)
+        return
+    np.square(v[..., 0], out=out)
+    for j in range(1, p):
+        out += np.square(v[..., j])
+    np.sqrt(out, out=out)
+
+
 def _block_sums(
     pr: SdaeProblem,
     paths: list[SamplePath],
@@ -246,7 +264,7 @@ def _block_sums(
                 np.cumsum(acc, axis=1, out=acc)
                 carry[s : s + c] = acc[:, w]
                 lam_g = g + acc[:, :w]
-            lam[s : s + c] = np.linalg.norm(lam_g, axis=2)
+            _row_norms(lam_g, lam[s : s + c])
             gv[:, s : s + c] = g.transpose(2, 0, 1)
         lam[n:] = np.nan
         gv[:, n:] = np.nan

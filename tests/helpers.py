@@ -21,9 +21,10 @@ from sdaekit.integrator import _eye
 from sdaekit.problem import regular
 
 
-def central_fd(e: Expression, name: str, point: dict[str, float]) -> float:
-    """Central finite-difference derivative of e at the given point."""
-    h = 1e-6 * max(1.0, abs(point.get(name, 0.0)))
+def central_fd(e: Expression, name: str, point: dict[str, float], rel_step: float = 1e-6) -> float:
+    """Central finite-difference derivative of e at the given point, with the
+    step rel_step * max(1, |point[name]|)."""
+    h = rel_step * max(1.0, abs(point.get(name, 0.0)))
     hi = dict(point)
     lo = dict(point)
     hi[name] = point.get(name, 0.0) + h

@@ -1,11 +1,18 @@
 """CLI subcommands, exit codes, output files, and manifest reruns."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
+from helpers import usable_cpus
+from sdaekit import cli
 from sdaekit.cli import main
 
 
@@ -413,6 +420,111 @@ class TestSolve:
         assert rc == 0
         threshold = [w for w in record if "not above the threshold" in str(w.message)]
         assert len(threshold) == 1
+
+
+SOLVES = {
+    "index1": ["--method", "index1", "--dt", "1e-3", "--t-end", "0.5", "--paths", "4",
+               "--seed", "3"],
+    "bounded": ["--method", "bounded", "--epsilon", "0.5", "--alpha", "0.8",
+                "--box=-2:2,-5:5", "--dt", "1e-3", "--t-end", "0.2", "--paths", "8",
+                "--seed", "7"],
+}
+
+
+class TestForkedOutputs:
+    """The output phase of a solve: the report in this process, the saved
+    path CSVs spread over forked workers, the manifest last."""
+
+    @staticmethod
+    def outputs(out: Path) -> dict[str, bytes]:
+        """The manifest and every output it lists, by name."""
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        return {rel: (out / rel).read_bytes() for rel in ["manifest.json", *listed]}
+
+    @pytest.mark.parametrize("method", list(SOLVES))
+    def test_outputs_byte_identical_at_any_cpu_count(self, method, request, tmp_path):
+        problem = request.getfixturevalue("linear_file" if method == "index1" else "paper_file")
+        argv = ["solve", str(problem), *SOLVES[method], "--save-paths", "3"]
+        runs = {}
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            with usable_cpus(cpus), patch.object(os, "fork", wraps=os.fork) as fork:
+                assert main([*argv, "--out", str(out)]) == 0
+            assert fork.call_count == cpus - 1  # one chunk: only the outputs fork
+            runs[cpus] = self.outputs(out)
+        assert list(runs[1]) == ["manifest.json", "problem.sdae", "report.csv",
+                                 "paths/path_00000.csv", "paths/path_00001.csv",
+                                 "paths/path_00002.csv"]
+        assert runs[2] == runs[1]
+        with usable_cpus(2):
+            assert main(["rerun", str(tmp_path / "cpus2" / "manifest.json"),
+                         "--out", str(tmp_path / "again")]) == 0
+        assert self.outputs(tmp_path / "again") == runs[1]
+
+    def test_worker_error_is_reraised_and_no_manifest_is_written(self, linear_file, tmp_path):
+        """Saved path 2 is job 3, in the worker; its OSError comes back here
+        with its type, after the worker is reaped."""
+        write = cli.write_path_csv
+
+        def failing(path, lam, fh):
+            if fh.name.endswith("path_00002.csv"):
+                raise OSError(errno.ENOSPC, "disk full in the test")
+            write(path, lam, fh)
+
+        out = tmp_path / "out"
+        with usable_cpus(2), patch.object(cli, "write_path_csv", failing), \
+                pytest.raises(OSError, match="disk full in the test") as info:
+            main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "3",
+                  "--out", str(out)])
+        assert info.value.errno == errno.ENOSPC
+        assert any("raised in ensemble worker" in note for note in info.value.__notes__)
+        assert (out / "report.csv").is_file()
+        assert not (out / "manifest.json").exists()
+
+    def test_error_in_this_process_ends_the_workers(self, linear_file, tmp_path, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("statistics failed in the test")
+
+        out = tmp_path / "out"
+        with usable_cpus(2), patch.object(cli, "violation_stats", failing), \
+                patch.object(os, "fork", wraps=os.fork) as fork:
+            rc = main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "3",
+                       "--out", str(out)])
+        assert rc == 4 and fork.call_count == 1
+        assert "statistics failed in the test" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_no_saved_path_forks_nothing(self, linear_file, tmp_path):
+        out = tmp_path / "out"
+        with usable_cpus(2), patch.object(os, "fork", side_effect=OSError("fork called")):
+            assert main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "0",
+                         "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "problem.sdae", "report.csv"]
+
+
+def test_index1_solve_without_scipy(tmp_path):
+    """The package needs no scipy: a solve in a fresh interpreter in which
+    every import of scipy fails exits 0 and writes every listed output."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    problem, out = tmp_path / "linear.sdae", tmp_path / "out"
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None  # import scipy, and any scipy.*, raises ImportError
+        sys.path.insert(0, {str(src)!r})
+        from sdaekit.cli import main
+        assert main(["builtin", "linear-index1", "--emit", "--out", {str(problem)!r}]) == 0
+        sys.exit(main(["solve", {str(problem)!r}, "--method", "index1", "--dt", "1e-3",
+                       "--t-end", "0.05", "--paths", "3", "--save-paths", "2",
+                       "--out", {str(out)!r}]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert listed == ["problem.sdae", "report.csv", "paths/path_00000.csv",
+                      "paths/path_00001.csv"]
+    assert all((out / rel).is_file() for rel in listed)
 
 
 class TestVerifyBound:

@@ -198,6 +198,27 @@ class TestFolding:
         assert e.right == Constant(3.0)
         assert to_text(e) == "x1^3"
 
+    @pytest.mark.parametrize(
+        "text, at_zero",
+        [
+            ("1e999 - 1e999", math.nan),
+            ("-1e999 + 1e999", math.nan),
+            ("0*1e999", math.nan),
+            ("1e999/1e999 + x1", math.nan),
+            ("1e308*10 + x1", math.inf),
+            ("2*(1e308*x1)", 0.0),
+            ("(x1*1e308)*2", 0.0),
+        ],
+    )
+    def test_no_fold_to_inf_or_nan(self, text, at_zero):
+        """Constants whose sum, difference, product or quotient is inf or nan
+        stay unfolded, as in pow_ and func: the text round-trips through
+        parse (nan has no parseable text), and at x1 = 0 the expression has
+        the value its text has (inf*x1 would be nan there)."""
+        e = parse(text)
+        assert parse(to_text(e)) == e
+        assert repr(evaluate(e, {"x1": 0.0})) == repr(at_zero)
+
 
 class TestSubstitute:
     def test_compose(self):
@@ -305,7 +326,7 @@ def tree_size(e, memo):
     return memo[id(e)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, database=None)
 @given(dag=shared_dags())
 def test_print_parse_round_trip_on_random_dags(dag):
     """parse(to_text(e)) == e, to the sign and bits of every constant
@@ -320,6 +341,45 @@ def test_print_parse_round_trip_on_random_dags(dag):
             continue
         e = parse(to_text(entry))
         assert repr(parse(to_text(e))) == repr(e)
+
+
+def _finite_value(thunk):
+    """thunk(), or None where it raises or is not finite."""
+    try:
+        v = thunk()
+    except (EvaluationDomainError, ValueError, ArithmeticError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+FD_STEPS = (1e-6, 1.25e-6, 1.5e-6, 2e-6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(dag=shared_dags(), seed=st.integers(0, 2**32 - 1))
+def test_derivatives_match_finite_differences_on_random_dags(dag, seed):
+    """The derivative of a random entry by each of its variables agrees with
+    central differences at a random point where both are finite.
+
+    The differences are taken at steps h to 2h.  Their truncation error grows
+    as the step squared, so their spread bounds it at h, and rounding noise
+    shows in it too: near a pole or a cancellation the check loosens instead
+    of failing.  The point is drawn uniformly, not by hypothesis, which
+    favours zero and equal coordinates, where sqrt(x1^2) has its kink."""
+    vector, matrix = dag
+    point = random_points(KERNEL_LABELS, 1, -3.0, 3.0, seed)[0]
+    memo = {}
+    for entry in [*vector, *(e for row in matrix for e in row)]:
+        if tree_size(entry, memo) > 60:  # keeps the scalar evaluations cheap
+            continue
+        for name in sorted(free_variables(entry)):
+            exact = _finite_value(lambda: evaluate(differentiate(entry, name), point))
+            fds = [_finite_value(lambda: central_fd(entry, name, point, step)) for step in FD_STEPS]
+            if exact is None or None in fds:
+                continue
+            spread = max(fds) - min(fds)
+            assert abs(exact - fds[0]) <= 4 * spread + 1e-6 * (1 + abs(exact)), (
+                to_text(entry), name, point, exact, fds)
 
 
 @pytest.mark.parametrize("value, text", [(-0.0, "-0"), (math.inf, "1e999"), (-math.inf, "-1e999")])

@@ -475,3 +475,27 @@ def test_block_edges_match_reference_bitwise():
     got = violation_stats(pr, ens, 1.0, b=2.0, J=1.0)
     assert got.alive[stats._BLOCK + 36] == 20 and got.alive[stats._BLOCK + 37] == 19
     _assert_bitwise_equal(got, _reference_violation_stats(pr, ens, 1.0, b=2.0, J=1.0))
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_row_norms_match_linalg_norm_bitwise(p):
+    """Below 8 components the sum of squares over components is numpy's own,
+    bit for bit: comparable magnitudes (where the order of the additions
+    shows), huge and tiny ones, signed zeros, inf and nan rows, and strided
+    views as well as a contiguous block."""
+    rng = np.random.default_rng(p)
+    scale = 10.0 ** np.concatenate([rng.integers(-2, 3, size=(3, 200, p)),
+                                    rng.integers(-200, 200, size=(3, 200, p))])
+    v = rng.standard_normal((6, 200, p)) * scale
+    v[0, 0] = np.inf
+    v[0, 1] = np.nan
+    v[0, 2, 0] = -np.inf
+    v[0, 3, -1] = np.nan
+    v[0, 4] = -0.0
+    v[0, 5, 0] = np.inf
+    v[0, 5, -1] = np.nan
+    for block in (v, v[::2, 1::3], np.ascontiguousarray(v.transpose(2, 0, 1)).transpose(1, 2, 0)):
+        out = np.empty(block.shape[:-1])
+        stats._row_norms(block, out)
+        assert out.tobytes() == np.linalg.norm(block, axis=-1).tobytes()
