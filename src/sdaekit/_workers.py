@@ -1,16 +1,18 @@
-"""Forked worker processes for independent jobs: the chunks of an ensemble,
-and the output files of a CLI solve.
+"""Forked worker processes for independent jobs: the path batches of an
+ensemble, and the output files of a CLI solve.
 
 ``count(jobs)`` is the number of processes a run of ``jobs`` jobs uses:
 W = min(jobs, usable CPUs), the caller included, or 1 when there is one
 job, one usable CPU, no ``os.fork``/``os.sched_getaffinity``, or another
-Python thread alive (forking a process with threads is unsafe).
-``run(job, jobs, W)`` calls ``job(i)`` for every i, job i in process i % W;
-process 0 is the caller, which forks the W - 1 workers before it runs its
-own jobs.  Whatever a job changes in a worker's memory is lost when the
-worker exits, so a worker's results must leave it another way: an ensemble
-chunk writes into buffers from ``shared``, anonymous shared mappings made
-before the fork, and an output job writes its file.
+Python thread alive (forking a process with threads is unsafe).  An
+ensemble asks for ``count(paths)`` and cuts its paths into a multiple of W
+batches (``stats.run_ensemble``).  ``run(job, jobs, W)`` calls ``job(i)``
+for every i, job i in process i % W; process 0 is the caller, which forks
+the W - 1 workers before it runs its own jobs.  Whatever a job changes in a
+worker's memory is lost when the worker exits, so a worker's results must
+leave it another way: an ensemble batch writes into buffers from
+``shared``, anonymous shared mappings made before the fork, and an output
+job writes its file.
 
 A worker exits only through ``os._exit``.  It sends an exception to the
 caller pickled through a pipe, with its traceback as a note, and the caller

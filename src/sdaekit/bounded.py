@@ -25,7 +25,11 @@ LAPACK.  Every Newton solve here stops at a residual of NEWTON_TOL (1e-10).
 
 Both modes refuse a gain with b dt >= 2 (MethodPreconditionError): on the
 grid the step gives lambda_{k+1} = (1 - b dt) lambda_k + (Dg sigma) dW_k,
-whose mean square diverges there.
+whose mean square diverges there.  Below that it rises to J / (b (2 - b dt)),
+and both modes warn when that exceeds eps^2 alpha for a gain above the
+threshold, naming the largest dt at which the gain meets the target, or
+saying that no gain does when J dt > eps^2 alpha.  ``ViolationReport``'s
+``bound_curve`` stays the continuous one.
 """
 
 from __future__ import annotations
@@ -221,14 +225,31 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
     return out
 
 
-def _require_stable_step(b: float, dt: float) -> None:
-    """Refuse b*dt >= 2: the step's lambda_{k+1} = (1 - b dt) lambda_k + noise diverges."""
+def _check_step(cfg: BoundedMConfig, dt: float) -> None:
+    """Refuse b*dt >= 2: the step's lambda_{k+1} = (1 - b dt) lambda_k + noise
+    diverges.  Below that, warn when the grid's mean square J / (b (2 - b dt))
+    can exceed eps^2 alpha, unless ``resolve_config`` already warned that b is
+    not above the continuous threshold."""
+    b = cfg.b
     if b * dt >= 2.0:
         raise MethodPreconditionError(
             f"gain b = {b:g} with dt = {dt:g} gives b*dt = {b * dt:g} >= 2, where the "
             f"Euler-Maruyama step cannot hold the constraint; the largest dt for this "
             f"gain is 2/b = {2.0 / b:g} (exclusive)"
         )
+    J, budget = cfg.J_raw, cfg.epsilon**2 * cfg.alpha
+    if b <= gain_threshold(J, cfg.epsilon, cfg.alpha) or b * (2.0 - b * dt) >= J / budget:
+        return
+    if J * dt > budget:
+        remedy = f"no gain meets it at this dt, since J*dt = {J * dt:g} > eps^2 alpha"
+    else:
+        remedy = f"this gain meets it for dt <= {(2.0 - J / (budget * b)) / b:g}"
+    warnings.warn(
+        f"gain b = {b:g} with dt = {dt:g}: on the grid E|lambda|^2 rises to "
+        f"J/(b (2 - b dt)) = {J / (b * (2.0 - b * dt)):g}, above eps^2 alpha = {budget:g}, "
+        f"so P(|lambda| > {cfg.epsilon:g}) <= {cfg.alpha:g} is not guaranteed; {remedy}",
+        stacklevel=3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +339,10 @@ def run_bounded_ensemble(
     *,
     chunk: int = 256,
 ) -> Ensemble:
-    """Simulate the stabilised system for a whole ensemble (derived seeds)."""
+    """Simulate the stabilised system for a whole ensemble (derived seeds),
+    in balanced batches of at most ``chunk`` paths (``stats.run_ensemble``)."""
     cfg = resolve_config(pr, cfg)
-    _require_stable_step(cfg.b, dt)
+    _check_step(cfg, dt)
     sde, init = _stabilised_sde(pr, cfg, mode)
     ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
     ens.meta["config"] = cfg
@@ -337,7 +359,7 @@ def solve_bounded(
 ) -> SamplePath:
     """Single stabilised path; the literal seed drives the increments."""
     cfg = resolve_config(pr, cfg)
-    _require_stable_step(cfg.b, dt)
+    _check_step(cfg, dt)
     sde, init = _stabilised_sde(pr, cfg, mode)
     inc = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, init, dt, T, inc, seed=seed)

@@ -7,19 +7,23 @@ checks that run against a new epsilon and alpha, keeping its gain b and J.
 All randomness flows from the single --seed flag.  Each method's set-up is
 the library's own, shared with its single-path solver.
 
-A solve's output phase may fork (``_workers``): the report and each saved
-path CSV are independent jobs, spread over W = min(saved paths + 1, usable
-CPUs) processes.  This process computes the statistics and writes
-``report.csv``; a forked worker's only result is the files it writes.  The
-manifest is written only once every output job has succeeded, and a
-worker's exception is re-raised here with its type, after every worker is
-reaped.  Nothing is forked without a saved path, with one usable CPU, no
-``os.fork``, or another Python thread alive.
+A solve forks twice (``_workers``).  The integration of every method but
+Picard spreads the paths over W = min(paths, usable CPUs) processes
+(``stats.run_ensemble``), so it forks nothing for one path.  The output
+phase runs the report and each saved path CSV as independent jobs, spread
+over W = min(saved paths + 1, usable CPUs) processes: this process computes
+the statistics and writes ``report.csv``, and a forked worker's only result
+is the files it writes.  The manifest is written only once every output job
+has succeeded, and a worker's exception is re-raised here with its type,
+after every worker is reaped.  The output phase forks nothing without a
+saved path; neither phase forks with one usable CPU, no ``os.fork``, or
+another Python thread alive.
 
 Exit codes: 0 success, 1 usage (a malformed command line, a flag value out
 of range, or a flag the chosen run never reads given a value other than its
-default), 2 invalid problem, 3 method precondition failed, 4 runtime failure
-(any other error, numeric ones from inside a solver included).
+default), 2 invalid problem (a missing input file included), 3 method
+precondition failed, 4 runtime failure (any other error, an OSError such as
+an unwritable output or numeric ones from inside a solver included).
 """
 
 from __future__ import annotations
@@ -582,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROBLEM if isinstance(exc, FileNotFoundError) else EXIT_RUNTIME
     except _ProblemLoadError as exc:

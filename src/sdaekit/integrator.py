@@ -17,11 +17,11 @@ the closed-form reductions).  Methods that keep part of the state on a
 constraint (bounded Newton) add a ``project`` hook that fills those columns
 after the step.  The engine fills a batch's buffers in place (``_Chunk``,
 one byte buffer per batch), and a path is a view of its row.
-``stats.run_ensemble`` runs its chunks in forked worker processes when it
-has two or more and several CPUs; a worker's chunk buffers are a shared
-mapping that it writes and the caller reads, so nothing is copied back.  An
-SDE's callables must therefore be pure functions of their arguments:
-whatever they change in a worker is lost when the worker exits.
+``stats.run_ensemble`` runs its batches in forked worker processes when it
+has two or more paths and several CPUs; a worker's batch buffers are a
+shared mapping that it writes and the caller reads, so nothing is copied
+back.  An SDE's callables must therefore be pure functions of their
+arguments: whatever they change in a worker is lost when the worker exits.
 
 Every algebraic solve in the package runs on one batched Newton loop,
 ``_newton_batch``, whose ``(u, converged, singular, iters)`` result is the

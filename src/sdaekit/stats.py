@@ -3,16 +3,18 @@
 Paths are advanced in lockstep across the batch (one numpy step loop), while
 each path's increments come from its own derived seed, so ensembles are
 bit-for-bit reproducible and independent of chunking or process counts.
-``run_ensemble`` spreads two or more chunks over W = min(chunks, usable
-CPUs) processes, itself included: it forks W - 1 workers (``_workers``) and
-chunk i runs in process i % W, drawing its own noise and writing its paths
-into that chunk's buffers.  A worker's chunk lives in an anonymous shared
-mapping, the caller's own chunks in ordinary arrays, and every path is a
-view of its chunk.  Nothing is forked with one chunk, one usable CPU, no
-``os.fork`` or another Python thread alive.  The SDE's callables must be
-pure: what they change in a worker (caches, counters, timers, warnings
-registries) is lost, and a worker's exception is re-raised in the caller
-with its type once every worker is reaped.
+``run_ensemble`` cuts the paths into contiguous balanced batches of at most
+``chunk`` paths and spreads them over W = min(paths, usable CPUs) processes,
+itself included: it forks W - 1 workers (``_workers``) and batch i runs in
+process i % W, drawing its own noise and writing its paths into that batch's
+buffers.  The batch count is a multiple of W unless every batch is one path,
+so the processes carry near-equal shares.  A worker's batch lives in an
+anonymous shared mapping, the caller's own batches in ordinary arrays, and
+every path is a view of its batch.  Nothing is forked with one path, one
+usable CPU, no ``os.fork`` or another Python thread alive.  The SDE's
+callables must be pure: what they change in a worker (caches, counters,
+timers, warnings registries) is lost, and a worker's exception is re-raised
+in the caller with its type once every worker is reaped.
 
 ``violation_stats`` walks the time grid in blocks of ``_BLOCK`` grid times,
 so its scratch is (paths, block), never (paths, grid): one array of
@@ -71,6 +73,20 @@ __all__ = ["ViolationReport", "run_ensemble", "violation_stats", "write_report_c
 _Z95 = 1.959963984540054
 
 
+def _batch_edges(paths: int, chunk: int, workers: int) -> list[int]:
+    """Edges 0 = e_0 < ... < e_n = paths of n balanced batches: batch i holds
+    paths [e_i, e_{i+1}) with e_i = floor(i paths / n).
+
+    n = min(paths, W ceil(ceil(paths / chunk) / W)) for W = ``workers``, so
+    no batch holds more than ``chunk`` paths, sizes differ by at most 1, and
+    n is a multiple of W unless every batch is one path: then the processes'
+    batch counts differ by at most 1.
+    """
+    chunks = -(-paths // chunk)
+    n = min(paths, workers * -(-chunks // workers))
+    return [i * paths // n for i in range(n + 1)]
+
+
 def run_ensemble(
     sde: AugmentedSde,
     init: np.ndarray,
@@ -84,40 +100,42 @@ def run_ensemble(
 ) -> Ensemble:
     """Simulate `paths` trajectories with per-path seeds derived from base_seed.
 
-    Paths run in contiguous chunks of ``chunk``, one engine batch each.  Two
-    or more chunks are spread over W = min(chunks, usable CPUs) processes,
-    this one included: chunk i runs in process i % W.  A forked worker's
-    chunks live in anonymous shared mappings, this process's own in ordinary
-    arrays, and each path is a view of its chunk.  W is 1 with one usable
-    CPU, no ``os.fork``, or another Python thread alive.  The paths are the
-    same bit for bit at any W, provided the SDE's callables are pure: what
-    they change in a worker is lost.  A worker's exception is re-raised here
-    with its type, after every worker is reaped.
+    Paths run in contiguous balanced batches of at most ``chunk`` paths, one
+    engine batch each, spread over W = min(paths, usable CPUs) processes, this
+    one included (``_batch_edges``): batch i runs in process i % W, and each
+    process gets as many batches as the others whenever W divides their
+    number.  A forked worker's batches live in anonymous shared mappings, this
+    process's own in ordinary arrays, and each path is a view of its batch.
+    W is 1 with one path, one usable CPU, no ``os.fork``, or another Python
+    thread alive.  The paths are the same bit for bit at any batching and any
+    W, provided the SDE's callables are pure: what they change in a worker is
+    lost.  A worker's exception is re-raised here with its type, after every
+    worker is reaped.
     """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    if paths < 1 or chunk < 1:
+        raise ValueError("paths and chunk must be >= 1")
     steps = n_steps(T, dt)
     init = _initial_state(sde, init)
     t_grid = _time_grid(steps, dt)
     seeds = [derive_seed(base_seed, k) for k in range(paths)]
-    starts = range(0, paths, chunk)
-    workers = _workers.count(len(starts))
+    workers = _workers.count(paths)
+    edges = _batch_edges(paths, chunk, workers)
     bufs = [
-        _chunk_buffers(sde, min(chunk, paths - start), steps, shared=i % workers != 0)
-        for i, start in enumerate(starts)
+        _chunk_buffers(sde, hi - lo, steps, shared=i % workers != 0)
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
     ]
 
-    def run_chunk(i: int) -> None:
+    def run_batch(i: int) -> None:
         buf = bufs[i]
         for k, dW in enumerate(buf.dW):
-            dW[:] = wiener_increments(seeds[starts[i] + k], steps, sde.d, dt)
+            dW[:] = wiener_increments(seeds[edges[i] + k], steps, sde.d, dt)
         buf.states[:, 0] = init
         _em_batch(sde, dt, buf)
 
-    _workers.run(run_chunk, len(bufs), workers)
+    _workers.run(run_batch, len(bufs), workers)
     out = [
-        _extract_path(sde, buf, k, dt, t_grid, seeds[start + k])
-        for start, buf in zip(starts, bufs)
+        _extract_path(sde, buf, k, dt, t_grid, seeds[lo + k])
+        for lo, buf in zip(edges, bufs)
         for k in range(len(buf.dW))
     ]
     return Ensemble(

@@ -1,5 +1,7 @@
 """Gain selection, the stabilised constraint, both solve modes, and the bound."""
 
+import warnings
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import bisect_root, random_points
 from sdaekit import integrator
 from sdaekit.bounded import (
+    _check_step,
     _newton_batch,
     BoundedMConfig,
     SolveMode,
@@ -246,6 +249,53 @@ class TestStepRefusal:
         pr = builtin("paper-example")
         assert len(run_bounded_ensemble(pr, self.CFG, 0.45, 0.9, 2, 1, mode)) == 2
         assert len(solve_bounded(pr, self.CFG, 0.45, 0.9, 1, mode).t_grid) >= 1
+
+
+class TestStepBoundWarning:
+    """Below b dt = 2 the grid's mean square rises to J / (b (2 - b dt)); a
+    gain above the threshold whose grid value exceeds eps^2 alpha warns.  At
+    J = 4, eps = 0.5, alpha = 0.8 (eps^2 alpha = 0.2) the gain b = 11 meets
+    the target for dt <= (2 - 20/11)/11 = 2/121."""
+
+    CFG = BoundedMConfig(epsilon=0.5, alpha=0.8, box=BOX, b=11.0, J_raw=4.0)
+
+    @pytest.mark.parametrize("mode", list(SolveMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("dt, remedy", [
+        (0.03, r"this gain meets it for dt <= 0\.0165289"),
+        (0.1, r"no gain meets it at this dt, since J\*dt = 0\.4 > eps\^2 alpha"),
+    ])
+    def test_warns_in_both_runs(self, mode, dt, remedy):
+        pr = builtin("paper-example")
+        grid = 4.0 / (11.0 * (2.0 - 11.0 * dt))
+        msg = (rf"b = 11 with dt = {dt:g}: on the grid .* = {grid:g}, above eps\^2 alpha = 0\.2"
+               rf".*; {remedy}$")
+        with pytest.warns(UserWarning, match=msg):
+            run_bounded_ensemble(pr, self.CFG, dt, 2 * dt, 2, 1, mode)
+        with pytest.warns(UserWarning, match=msg):
+            solve_bounded(pr, self.CFG, dt, 2 * dt, 1, mode)
+
+    @pytest.mark.parametrize("dt, warns", [(0.0165, False), (0.0166, True)])
+    def test_largest_dt_is_the_edge(self, dt, warns):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            _check_step(self.CFG, dt)
+        assert len(record) == warns
+
+    def test_criterion_2_settings_do_not_warn(self):
+        pr = builtin("paper-example")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = resolve_config(pr, BoundedMConfig(epsilon=0.5, alpha=0.8, box=BOX))
+            for mode in SolveMode:
+                run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 2, 1, mode)
+
+    def test_below_the_threshold_only_the_threshold_warning(self):
+        pr = builtin("paper-example")
+        cfg = replace(self.CFG, b=5.0)  # threshold 10; b (2 - b dt) = 2.5 < 20
+        with pytest.warns(UserWarning) as record:
+            run_bounded_ensemble(pr, cfg, 0.1, 0.2, 2, 1)
+        assert [str(w.message).split(";")[0] for w in record] == [
+            "gain b = 5 is not above the threshold 10"]
 
 
 def fold_problem():

@@ -388,6 +388,18 @@ class TestSolve:
         assert err == f"error: --out {blocker / 'sub'}: {blocker} is not a directory\n"
         assert blocker.read_text() == "kept\n"
 
+    def test_out_holding_a_regular_file_named_paths_exit_4(self, linear_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "paths").write_text("kept\n")
+        rc = main(["solve", str(linear_file), "--method", "index1", "--dt", "1e-2",
+                   "--t-end", "0.1", "--paths", "2", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "paths" in err and "Traceback" not in err
+        assert (out / "paths").read_text() == "kept\n"
+        assert not (out / "manifest.json").exists()
+
     def test_index1_inconsistent_initial_value_exit_3(self, tmp_path, capsys):
         # g = u1 - x1 is 4 at x = 1, u = 5: the index-1 method must refuse it
         problem = tmp_path / "off.sdae"
@@ -420,6 +432,19 @@ class TestSolve:
         assert rc == 0
         threshold = [w for w in record if "not above the threshold" in str(w.message)]
         assert len(threshold) == 1
+        assert not [w for w in record if "on the grid" in str(w.message)]  # b dt is tiny too
+
+    def test_grid_bound_warning_names_the_largest_dt(self, paper_file, tmp_path):
+        """b = 11 at J = 4, eps = 0.5, alpha = 0.8 meets the target for dt <= 2/121."""
+        with pytest.warns(UserWarning) as record:
+            rc = main(["solve", str(paper_file), "--method", "bounded",
+                       "--epsilon", "0.5", "--alpha", "0.8", "--box", "-2:2,-5:5",
+                       "--b", "11", "--dt", "0.03", "--t-end", "0.06", "--paths", "2",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        grid = [str(w.message) for w in record if "on the grid" in str(w.message)]
+        assert len(grid) == 1 and grid[0].endswith("this gain meets it for dt <= 0.0165289")
+        assert not [w for w in record if "not above the threshold" in str(w.message)]
 
 
 SOLVES = {
@@ -450,7 +475,8 @@ class TestForkedOutputs:
             out = tmp_path / f"cpus{cpus}"
             with usable_cpus(cpus), patch.object(os, "fork", wraps=os.fork) as fork:
                 assert main([*argv, "--out", str(out)]) == 0
-            assert fork.call_count == cpus - 1  # one chunk: only the outputs fork
+            # the integration's W - 1 workers, then the output phase's W - 1
+            assert fork.call_count == 2 * (cpus - 1)
             runs[cpus] = self.outputs(out)
         assert list(runs[1]) == ["manifest.json", "problem.sdae", "report.csv",
                                  "paths/path_00000.csv", "paths/path_00001.csv",
@@ -461,9 +487,11 @@ class TestForkedOutputs:
                          "--out", str(tmp_path / "again")]) == 0
         assert self.outputs(tmp_path / "again") == runs[1]
 
-    def test_worker_error_is_reraised_and_no_manifest_is_written(self, linear_file, tmp_path):
-        """Saved path 2 is job 3, in the worker; its OSError comes back here
-        with its type, after the worker is reaped."""
+    def test_worker_error_is_reraised_and_no_manifest_is_written(self, linear_file, tmp_path,
+                                                                 capsys):
+        """Saved path 2 is job 3, in the worker; its OSError comes back to
+        the solve with its type, after the worker is reaped, and ``main``
+        ends with exit 4 and no traceback."""
         write = cli.write_path_csv
 
         def failing(path, lam, fh):
@@ -471,15 +499,27 @@ class TestForkedOutputs:
                 raise OSError(errno.ENOSPC, "disk full in the test")
             write(path, lam, fh)
 
+        argv = ["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "3"]
         out = tmp_path / "out"
+        args = cli._build_parser().parse_args(
+            cli._preprocess_argv([*argv, "--out", str(out)]))
         with usable_cpus(2), patch.object(cli, "write_path_csv", failing), \
                 pytest.raises(OSError, match="disk full in the test") as info:
-            main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "3",
-                  "--out", str(out)])
+            cli._cmd_solve(args)
         assert info.value.errno == errno.ENOSPC
         assert any("raised in ensemble worker" in note for note in info.value.__notes__)
         assert (out / "report.csv").is_file()
         assert not (out / "manifest.json").exists()
+
+        capsys.readouterr()
+        again = tmp_path / "again"
+        with usable_cpus(2), patch.object(cli, "write_path_csv", failing):
+            assert main([*argv, "--out", str(again)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disk full in the test" in err
+        assert "Traceback" not in err
+        assert (again / "report.csv").is_file()
+        assert not (again / "manifest.json").exists()
 
     def test_error_in_this_process_ends_the_workers(self, linear_file, tmp_path, capsys):
         def failing(*args, **kwargs):
@@ -490,15 +530,17 @@ class TestForkedOutputs:
                 patch.object(os, "fork", wraps=os.fork) as fork:
             rc = main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "3",
                        "--out", str(out)])
-        assert rc == 4 and fork.call_count == 1
+        assert rc == 4 and fork.call_count == 2  # the integration's worker, the outputs'
         assert "statistics failed in the test" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_no_saved_path_forks_nothing(self, linear_file, tmp_path):
+        """Only the integration forks: its one worker for 4 paths on 2 CPUs."""
         out = tmp_path / "out"
-        with usable_cpus(2), patch.object(os, "fork", side_effect=OSError("fork called")):
+        with usable_cpus(2), patch.object(os, "fork", wraps=os.fork) as fork:
             assert main(["solve", str(linear_file), *SOLVES["index1"], "--save-paths", "0",
                          "--out", str(out)]) == 0
+        assert fork.call_count == 1
         assert json.loads((out / "manifest.json").read_text())["outputs"] == [
             "problem.sdae", "report.csv"]
 

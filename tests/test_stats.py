@@ -1,6 +1,7 @@
 """Ensemble determinism, exchangeability, and the violation report."""
 
 import dataclasses
+import functools
 import io
 import random
 import tracemalloc
@@ -33,6 +34,9 @@ from sdaekit.stats import (
     violation_stats,
     write_report_csv,
 )
+from sdaekit.unit_prob import build_unit_prob_sde, consistent_init, paper_example_spec
+from test_acceptance import index1_test_problems
+from test_integrator import index1_sqrt_problem
 
 
 def drifting_sde(rate=0.0, noise=1.0, labels=("x1",)):
@@ -443,6 +447,47 @@ def test_blocked_violation_stats_match_reference_bitwise(block, groups, case, ep
     or several per kernel call."""
     with patch.object(stats, "_BLOCK", block), patch.object(stats, "_GROUPS", groups):
         test_violation_stats_matches_reference_bitwise.hypothesis.inner_test(case, epsilon, data)
+
+
+@functools.cache
+def method_ensemble(name):
+    """(problem, ensemble, epsilon) of a method's ensemble: index-1 on the
+    noisy 2x2 problem (1501 grid times, two blocks), index-1 with paths
+    ended by a singular reduction, and unit-prob on criterion 4's set-up,
+    some of whose paths end on its guard."""
+    if name == "unit-prob":
+        pr = builtin("paper-example")
+        spec = paper_example_spec(0.25)
+        init = np.concatenate([pr.x0, consistent_init(spec, pr)])
+        sde = build_unit_prob_sde(pr, spec).sde()
+        return pr, run_ensemble(sde, init, 1e-5, 0.035, 20, 2024, problem=pr), 0.25
+    if name == "index1":
+        pr, dt, T, epsilon = list(index1_test_problems())[2], 1e-3, 1.5, 0.05
+    else:
+        pr, dt, T, epsilon = index1_sqrt_problem(), 1e-3, 0.3, 1e-15
+    sde, init = index1_setup(pr)
+    return pr, run_ensemble(sde, init, dt, T, 16, 3, problem=pr), epsilon
+
+
+def test_method_ensembles_hold_truncated_paths():
+    assert all(p.status.completed for p in method_ensemble("index1")[1].paths)
+    for name in ("index1-ending", "unit-prob"):
+        assert not all(p.status.completed for p in method_ensemble(name)[1].paths)
+
+
+@pytest.mark.parametrize("groups", [32, 3])
+@pytest.mark.parametrize("name", ["index1", "index1-ending", "unit-prob"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_method_ensemble_stats_invariant_under_path_permutation(name, groups, data):
+    pr, ens, epsilon = method_ensemble(name)
+    order = data.draw(st.permutations(range(len(ens.paths))))
+    shuffled = Ensemble(paths=[ens.paths[i] for i in order], dt=ens.dt, T=ens.T,
+                        base_seed=ens.base_seed, problem=pr)
+    with patch.object(stats, "_GROUPS", groups):
+        got = violation_stats(pr, shuffled, epsilon)
+    _assert_bitwise_equal(got, violation_stats(pr, ens, epsilon))
 
 
 def test_block_edges_match_reference_bitwise():

@@ -1,9 +1,10 @@
-"""An ensemble's chunks in forked worker processes: the same paths bit for
-bit at any worker count, a worker's exception re-raised with its type, and
-no process left behind, whatever ends the run."""
+"""An ensemble's balanced batches in forked worker processes: the same paths
+bit for bit at any batching and worker count, a worker's exception re-raised
+with its type, and no process left behind, whatever ends the run."""
 
 import contextlib
 import functools
+import math
 import os
 import signal
 import subprocess
@@ -24,7 +25,7 @@ from sdaekit.bounded import BoundedMConfig, SolveMode, _stabilised_sde
 from sdaekit.index1 import index1_setup
 from sdaekit.integrator import AugmentedSde
 from sdaekit.problem import builtin
-from sdaekit.stats import run_ensemble
+from sdaekit.stats import _batch_edges, run_ensemble
 from test_integrator import BATCH_DT, ending_sde, index1_sqrt_problem
 
 MAX_PATHS = 9
@@ -63,26 +64,66 @@ def test_references_hold_projections_and_truncated_paths():
     assert all("newton_iterations" in p.metadata for p in reference("ending").paths)
 
 
+def batch_of(k, paths, chunk, workers):
+    """The batch that holds path k: batch i holds paths [i paths // n,
+    (i + 1) paths // n) of n = min(paths, W ceil(ceil(paths / chunk) / W))."""
+    n = min(paths, workers * math.ceil(math.ceil(paths / chunk) / workers))
+    return next(i for i in range(n) if k < (i + 1) * paths // n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(CASES),
     paths=st.integers(1, MAX_PATHS),
-    chunk=st.integers(1, 4),
+    chunk=st.integers(1, MAX_PATHS + 1),
     cpus=st.integers(1, 3),
 )
 def test_paths_bit_identical_for_any_worker_count(name, paths, chunk, cpus):
     sde, init, dt, T, seed = case(name)
     with usable_cpus(cpus):
         ens = run_ensemble(sde, init, dt, T, paths, seed, chunk=chunk)
-    workers = min(-(-paths // chunk), cpus)
+    workers = min(paths, cpus)
     assert len(ens.paths) == paths
     for k, (p, r) in enumerate(zip(ens.paths, reference(name).paths)):
-        assert in_shared_mapping(p.states) == ((k // chunk) % workers != 0)
+        assert in_shared_mapping(p.states) == (batch_of(k, paths, chunk, workers) % workers != 0)
         assert p.states.tobytes() == r.states.tobytes()
         assert p.dW.tobytes() == r.dW.tobytes()
         assert p.status == r.status
         assert p.seed == r.seed
         assert p.metadata == r.metadata
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(paths=st.integers(1, 2000), chunk=st.integers(1, 600), cpus=st.integers(1, 8))
+def test_batch_edges_balanced(paths, chunk, cpus):
+    with usable_cpus(cpus):
+        workers = _workers.count(paths)
+    edges = _batch_edges(paths, chunk, workers)
+    n = len(edges) - 1
+    sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    assert edges[0] == 0 and edges[-1] == paths  # contiguous, every path once
+    assert min(sizes) >= 1 and max(sizes) <= chunk
+    assert max(sizes) - min(sizes) <= 1
+    assert n < -(-paths // chunk) + workers  # at most W - 1 batches past the fewest
+    per_process = [len(range(w, n, workers)) for w in range(workers)]
+    if n % workers:
+        assert n == paths and max(per_process) - min(per_process) == 1
+    else:
+        assert len(set(per_process)) == 1
+
+
+def test_batch_edges_examples():
+    assert _batch_edges(512, 256, 2) == [0, 256, 512]  # bounded-newton keeps its batches
+    assert _batch_edges(512, 512, 2) == [0, 256, 512]
+    assert _batch_edges(600, 256, 2) == [0, 150, 300, 450, 600]
+    assert _batch_edges(600, 256, 1) == [0, 200, 400, 600]
+    assert _batch_edges(3, 1, 2) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_refused(chunk):
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        run_ensemble(scalar_sde(lambda x: np.zeros_like(x)), [0.0], 0.1, 0.5, 4, 0, chunk=chunk)
 
 
 def scalar_sde(drift):
@@ -183,11 +224,19 @@ class TestWorkerCount:
         assert not thread.is_alive()
         assert not any(in_shared_mapping(p.states) for p in ens.paths)
 
-    def test_one_chunk_forks_nothing(self):
-        with usable_cpus(2):
+    @pytest.mark.parametrize("paths, cpus", [(1, 2), (4, 1)])
+    def test_one_path_or_one_cpu_forks_nothing(self, paths, cpus):
+        with usable_cpus(cpus):
             ens = run_ensemble(scalar_sde(in_worker(lambda: raise_(LookupError("forked")))),
-                               [0.0], 0.1, 0.5, 4, 0, chunk=4)
-        assert not in_shared_mapping(ens.paths[0].states)
+                               [0.0], 0.1, 0.5, paths, 0, chunk=1)
+        assert len(ens.paths) == paths
+        assert not any(in_shared_mapping(p.states) for p in ens.paths)
+
+    def test_one_chunk_is_split_over_the_cpus(self):
+        with usable_cpus(2):
+            ens = run_ensemble(scalar_sde(lambda x: np.zeros_like(x)), [0.0], 0.1, 0.5, 4, 0,
+                               chunk=4)
+        assert [in_shared_mapping(p.states) for p in ens.paths] == [False, False, True, True]
 
 
 def _dead(pid: int) -> bool:
