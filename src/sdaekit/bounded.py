@@ -248,7 +248,7 @@ def _check_step(cfg: BoundedMConfig, dt: float) -> None:
         f"gain b = {b:g} with dt = {dt:g}: on the grid E|lambda|^2 rises to "
         f"J/(b (2 - b dt)) = {J / (b * (2.0 - b * dt)):g}, above eps^2 alpha = {budget:g}, "
         f"so P(|lambda| > {cfg.epsilon:g}) <= {cfg.alpha:g} is not guaranteed; {remedy}",
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
@@ -315,17 +315,21 @@ def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem) -> AugmentedSde:
     )
 
 
-def _stabilised_sde(
-    pr: SdaeProblem, cfg: BoundedMConfig, mode: SolveMode
-) -> tuple[AugmentedSde, np.ndarray]:
-    """The SDE enforcing h = 0 in the given mode, and its initial state."""
+def _bounded_setup(
+    pr: SdaeProblem, cfg: BoundedMConfig, dt: float, mode: SolveMode
+) -> tuple[BoundedMConfig, AugmentedSde, np.ndarray]:
+    """The set-up an ensemble and a single path share: the config resolved
+    and checked against dt, the SDE enforcing h = 0 in the given mode, and
+    its initial state."""
+    cfg = resolve_config(pr, cfg)
+    _check_step(cfg, dt)
     h_pr = build_bounded_constraint(pr, cfg.b)
     u0 = _initial_algebraic_value(h_pr)
     if mode is SolveMode.LEMMA1_REDUCTION:
         sde = build_index1_sde(replace(h_pr, u0_guess=u0))
     else:
         sde = _newton_sde(pr, h_pr)
-    return sde, np.concatenate([pr.x0, u0])
+    return cfg, sde, np.concatenate([pr.x0, u0])
 
 
 def run_bounded_ensemble(
@@ -341,9 +345,7 @@ def run_bounded_ensemble(
 ) -> Ensemble:
     """Simulate the stabilised system for a whole ensemble (derived seeds),
     in balanced batches of at most ``chunk`` paths (``stats.run_ensemble``)."""
-    cfg = resolve_config(pr, cfg)
-    _check_step(cfg, dt)
-    sde, init = _stabilised_sde(pr, cfg, mode)
+    cfg, sde, init = _bounded_setup(pr, cfg, dt, mode)
     ens = run_ensemble(sde, init, dt, T, paths, base_seed, chunk=chunk, problem=pr)
     ens.meta["config"] = cfg
     return ens
@@ -358,9 +360,7 @@ def solve_bounded(
     mode: SolveMode = SolveMode.NEWTON_PER_STEP,
 ) -> SamplePath:
     """Single stabilised path; the literal seed drives the increments."""
-    cfg = resolve_config(pr, cfg)
-    _check_step(cfg, dt)
-    sde, init = _stabilised_sde(pr, cfg, mode)
+    cfg, sde, init = _bounded_setup(pr, cfg, dt, mode)
     inc = wiener_increments(seed, n_steps(T, dt), pr.d, dt)
     path = euler_maruyama(sde, init, dt, T, inc, seed=seed)
     lam = constraint_process(pr, path)

@@ -7,8 +7,8 @@ checks that run against a new epsilon and alpha, keeping its gain b and J.
 All randomness flows from the single --seed flag.  Each method's set-up is
 the library's own, shared with its single-path solver.
 
-A solve forks twice (``_workers``).  The integration of every method but
-Picard spreads the paths over W = min(paths, usable CPUs) processes
+A solve forks twice (``_workers``).  The integration of every method
+spreads the paths over W = min(paths, usable CPUs) processes
 (``stats.run_ensemble``), so it forks nothing for one path.  The output
 phase runs the report and each saved path CSV as independent jobs, spread
 over W = min(saved paths + 1, usable CPUs) processes: this process computes
@@ -49,15 +49,19 @@ from .bounded import (
     verify_bound,
 )
 from .errors import (
+    DimensionMismatchError,
+    ExpressionParseError,
     MethodPreconditionError,
+    ProblemFormatError,
     SdaeError,
+    UnknownBuiltinError,
 )
 from .expr import parse as parse_expr
 from .expr import to_text
 from .index1 import index1_setup
 from .index_reduction import compute_index, reduce_once
-from .integrator import Ensemble, constraint_process, derive_seed, write_path_csv
-from .picard import check_contraction, picard_solve
+from .integrator import Ensemble, constraint_process, write_path_csv
+from .picard import check_contraction, picard_setup
 from .problem import (
     ProblemKind,
     SdaeProblem,
@@ -351,16 +355,7 @@ def _solve_boxes(pr: SdaeProblem, args) -> tuple[Box | None, Box | None]:
 
 def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -> tuple[Ensemble, dict]:
     info: dict = {}
-    if args.method == "picard":
-        paths = []
-        for k in range(args.paths):
-            paths.append(
-                picard_solve(pr, args.dt, args.t_end, iterations=args.iterations,
-                             seed=derive_seed(args.seed, k), tol=args.tol)
-            )
-        ens = Ensemble(paths=paths, dt=args.dt, T=args.t_end,
-                       base_seed=args.seed, problem=pr)
-    elif args.method == "bounded":
+    if args.method == "bounded":
         if args.epsilon is None or args.alpha is None or args.box is None:
             raise MethodPreconditionError(
                 "--epsilon, --alpha and --box are required for bounded"
@@ -382,6 +377,8 @@ def _solve_ensemble(pr: SdaeProblem, args, box: Box | None, y_box: Box | None) -
     else:
         if args.method == "index1":
             sde, init = index1_setup(pr)
+        elif args.method == "picard":
+            sde, init = picard_setup(pr, args.iterations, args.tol)
         else:  # unit-prob
             spec = _read_characteristic(args, pr)
             sde, init = _unit_prob_setup(pr, spec, args.dt, y_box, args.y_grid)
@@ -596,13 +593,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SdaeError as exc:
-        from .errors import (
-            DimensionMismatchError,
-            ExpressionParseError,
-            ProblemFormatError,
-            UnknownBuiltinError,
-        )
-
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ProblemFormatError, ExpressionParseError, UnknownBuiltinError)):
             return EXIT_PROBLEM

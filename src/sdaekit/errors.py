@@ -8,9 +8,14 @@ otherwise legal computation.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SdaeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; each survives a pickle round trip."""
+
+    def __reduce__(self):  # rebuilt from args and attributes; a subclass's __init__ differs
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ExpressionError(SdaeError):

@@ -15,8 +15,10 @@ Every method runs on one engine, ``_em_batch``.  Each step makes one call
 from the same evaluation as its coefficients (``guarded_sde`` builds it for
 the closed-form reductions).  Methods that keep part of the state on a
 constraint (bounded Newton) add a ``project`` hook that fills those columns
-after the step.  The engine fills a batch's buffers in place (``_Chunk``,
-one byte buffer per batch), and a path is a view of its row.
+after the step.  Picard's fixed-point sweeps are not steps: its SDE's
+``integrate`` hook takes the whole batch in place of the step loop.  The
+engine fills a batch's buffers in place (``_Chunk``, one byte buffer per
+batch), and a path is a view of its row.
 ``stats.run_ensemble`` runs its batches in forked worker processes when it
 has two or more paths and several CPUs; a worker's batch buffers are a
 shared mapping that it writes and the caller reads, so nothing is copied
@@ -214,6 +216,10 @@ class AugmentedSde:
     others.  A singular path ends singular-reduction and an unconverged one
     domain-error at that step; ``iters`` is summed per path into
     ``metadata["newton_iterations"]``.
+
+    ``integrate(dt, states, dW)`` (optional) replaces the step loop: it fills
+    a batch's states (P, steps + 1, dim) from row 0 in place, and every path
+    completes or it raises.  Picard's sweeps run this way.
     """
 
     dim: int
@@ -225,17 +231,18 @@ class AugmentedSde:
     both: Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray, np.ndarray]] | None = None
     problem: SdaeProblem | None = None
     project: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+    integrate: Callable[[float, np.ndarray, np.ndarray], object] | None = None
 
 
 @dataclass
 class SamplePath:
     """One realisation on a uniform grid; possibly truncated with a status.
 
-    On a path from the engine (``euler_maruyama``, ``run_ensemble``),
-    ``states`` and ``dW`` are views into the engine's chunk buffers, one row
-    per path, so no two paths overlap; ``t_grid`` is a read-only prefix of
-    one grid shared by every path of the run.  Keeping one path alive keeps
-    its chunk's buffers alive.
+    On a path from the engine (``euler_maruyama``, ``run_ensemble``, Picard's
+    ensembles included), ``states`` and ``dW`` are views into the engine's
+    chunk buffers, one row per path, so no two paths overlap; ``t_grid`` is a
+    read-only prefix of one grid shared by every path of the run.  Keeping
+    one path alive keeps its chunk's buffers alive.
     """
 
     dt: float
@@ -428,7 +435,8 @@ def _chunk_buffers(sde: AugmentedSde, P: int, steps: int, shared: bool = False) 
 def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
     """Advance a batch of paths from ``buf.states[:, 0]`` with ``buf.dW``,
     filling ``buf`` in place: the states, and each path's stop step, status
-    code and (with a ``project`` hook) summed projection iterations.
+    code and (with a ``project`` hook) summed projection iterations.  An SDE
+    with an ``integrate`` hook gets the whole batch instead.
 
     The state is updated with the same float operations in the same order
     as X + f dt + sum_j sigma_j dW_j.  Every test is a count.  The guard,
@@ -439,12 +447,15 @@ def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
     """
     states, dW, stop, kind, iters = buf.states, buf.dW, buf.stop, buf.kind, buf.iters
     P, steps = dW.shape[:2]
-    step = _step_fn(sde)
-    project = sde.project
     stop.fill(steps)
     kind.fill(0)
     if iters is not None:
         iters.fill(0)
+    if sde.integrate is not None:
+        sde.integrate(dt, states, dW)
+        return
+    step = _step_fn(sde)
+    project = sde.project
     alive = np.ones(P, dtype=bool)
     n_alive = P
     x = states[:, 0].copy()

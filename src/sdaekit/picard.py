@@ -15,10 +15,15 @@ Lipschitz constants are estimated from random point pairs, so the reported
 horizon is an estimate, not a certificate.  The solver iterates the
 discretised phi with noise increments frozen across sweeps; its fixed point
 coincides with the explicit fixed-step recursion of the reduced dynamics.
+The sweeps run on a whole batch of paths, the engine's ``integrate`` hook
+(``picard_setup``), so an ensemble goes through ``stats.run_ensemble`` like
+every other method; ``picard_solve`` is a batch of one.  A path that does not
+converge raises NonConvergenceError and ends the whole run.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,11 +32,13 @@ import numpy as np
 
 from . import expr
 from .errors import DimensionMismatchError, NonConvergenceError
-from .integrator import PathStatus, SamplePath, StatusKind, n_steps, wiener_increments
+from .integrator import (
+    AugmentedSde, PathStatus, SamplePath, StatusKind, n_steps, wiener_increments,
+)
 from .problem import SdaeProblem
 from .wellposedness import grid_points
 
-__all__ = ["ContractionReport", "check_contraction", "picard_solve"]
+__all__ = ["ContractionReport", "check_contraction", "picard_setup", "picard_solve"]
 
 
 @dataclass
@@ -121,6 +128,57 @@ def check_contraction(
     )
 
 
+def _sweeps(kernel, n: int, noisy: bool, iterations: int, tol: float,
+            dt: float, states: np.ndarray, dW: np.ndarray) -> list[list[float]]:
+    """Iterate the map in place on ``states`` (P, K+1, n+m) from its row 0,
+    with ``dW`` (P, K, d) frozen; return each path's delta per sweep.
+
+    A sweep is one kernel call on the paths still moving.  A path whose delta
+    falls below ``tol`` leaves them, so no later sweep changes its bits.
+    """
+    states[:, 1:] = states[:, :1]
+    moving = np.arange(len(states))
+    deltas: list[list[float]] = [[] for _ in moving]
+    with np.errstate(all="ignore"):
+        for it in range(iterations):
+            pts, w = states[moving], dW[moving]
+            k = kernel(pts)
+            new = np.empty_like(pts)
+            new[:, 0, :n] = pts[:, 0, :n]
+            noise = np.einsum("pknd,pkd->pkn", k["sigma"][:, :-1], w)
+            np.cumsum(k["f"][:, :-1] * dt + noise, axis=1, out=new[:, 1:, :n])
+            new[:, 1:, :n] += pts[:, :1, :n]
+            np.subtract(pts[..., n:], k["g"], out=new[..., n:])
+            if noisy:  # left-point Gamma
+                noise = np.einsum("pkqd,pkd->pkq", k["gamma"][:, :-1], w)
+                new[:, 1:, n:] -= np.cumsum(noise, axis=1)
+            if not np.isfinite(new).all():
+                raise NonConvergenceError(it + 1, float("inf"))
+            delta = np.abs(new - pts).max(axis=(1, 2))
+            states[moving] = new
+            for r, dr in zip(moving, delta.tolist()):
+                deltas[r].append(dr)
+            moving = moving[delta >= tol]
+            if not moving.size:
+                return deltas
+    raise NonConvergenceError(iterations, deltas[moving[0]][-1])
+
+
+def picard_setup(pr: SdaeProblem, iterations: int = 100,
+                 tol: float = 1e-10) -> tuple[AugmentedSde, np.ndarray]:
+    """The SDE whose batch integrator runs the sweeps, and its initial state;
+    refuses m != p and an initial point off the constraint."""
+    if pr.m != pr.p:
+        raise DimensionMismatchError(
+            f"the fixed-point map is stated for m = p; got m={pr.m}, p={pr.p}")
+    pr.require_consistent_init()
+    outputs = {"f": pr.f, "sigma": pr.sigma, "g": pr.g, "gamma": pr.gamma}
+    kernel = expr.compile_kernel(pr.labels, outputs)
+    integrate = functools.partial(_sweeps, kernel, pr.n, not pr.gamma_is_zero(), iterations, tol)
+    sde = AugmentedSde(dim=pr.n + pr.m, d=pr.d, labels=pr.labels, problem=pr, integrate=integrate)
+    return sde, pr.init_point()
+
+
 def picard_solve(
     pr: SdaeProblem,
     dt: float,
@@ -137,70 +195,19 @@ def picard_solve(
     supplied and not satisfied (or T exceeds its horizon) a warning is
     emitted and the iteration is attempted anyway.
     """
-    if pr.m != pr.p:
-        raise DimensionMismatchError(
-            f"the fixed-point map is stated for m = p; got m={pr.m}, p={pr.p}"
-        )
-    pr.require_consistent_init()
-    if contraction is not None:
-        if not contraction.satisfied:
-            warnings.warn(
-                "contraction condition not satisfied; attempting the iteration anyway",
-                stacklevel=2,
-            )
-        elif T > contraction.horizon:
-            warnings.warn(
-                f"T = {T:g} exceeds the estimated horizon {contraction.horizon:g}; "
-                "the iteration may not contract over the whole interval",
-                stacklevel=2,
-            )
-
+    sde, init = picard_setup(pr, iterations, tol)
+    if contraction is not None and not contraction.satisfied:
+        warnings.warn("contraction condition not satisfied; attempting the iteration anyway",
+                      stacklevel=2)
+    elif contraction is not None and T > contraction.horizon:
+        warnings.warn(f"T = {T:g} exceeds the estimated horizon {contraction.horizon:g}; "
+                      "the iteration may not contract over the whole interval", stacklevel=2)
     steps = n_steps(T, dt)
     dW = wiener_increments(seed, steps, pr.d, dt)
-    kernel = expr.compile_kernel(
-        pr.labels, {"f": pr.f, "sigma": pr.sigma, "g": pr.g, "gamma": pr.gamma}
-    )
-    noisy = not pr.gamma_is_zero()
-
-    K = steps + 1
-    x = np.tile(pr.x0, (K, 1))
-    u = np.tile(pr.u0_guess, (K, 1))
-    deltas: list[float] = []
-    converged = False
-    used = 0
-    with np.errstate(all="ignore"):
-        for it in range(iterations):
-            k = kernel(np.concatenate([x, u], axis=1))
-            x_new = np.empty_like(x)
-            x_new[0] = pr.x0
-            drift_terms = k["f"][:-1] * dt
-            noise_terms = np.einsum("knd,kd->kn", k["sigma"][:-1], dW)
-            np.cumsum(drift_terms + noise_terms, axis=0, out=x_new[1:])
-            x_new[1:] += pr.x0
-            u_new = u - k["g"]
-            if noisy:  # left-point Gamma
-                acc = np.zeros((K, pr.p))
-                np.cumsum(np.einsum("kpd,kd->kp", k["gamma"][:-1], dW), axis=0, out=acc[1:])
-                u_new = u_new - acc
-            if not (np.isfinite(x_new).all() and np.isfinite(u_new).all()):
-                raise NonConvergenceError(it + 1, float("inf"))
-            delta = max(np.abs(x_new - x).max(), np.abs(u_new - u).max())
-            deltas.append(float(delta))
-            x, u = x_new, u_new
-            used = it + 1
-            if delta < tol:
-                converged = True
-                break
-    if not converged:
-        raise NonConvergenceError(used, deltas[-1] if deltas else float("inf"))
-
-    return SamplePath(
-        dt=dt,
-        t_grid=np.arange(steps + 1, dtype=float) * dt,
-        states=np.concatenate([x, u], axis=1),
-        dW=dW,
-        seed=seed,
-        status=PathStatus(StatusKind.COMPLETED),
-        labels=pr.labels,
-        metadata={"iterations": used, "deltas": deltas, "converged": converged},
-    )
+    states = np.empty((1, steps + 1, sde.dim))
+    states[0, 0] = init
+    deltas = sde.integrate(dt, states, dW[None])[0]  # a batch of one
+    meta = {"iterations": len(deltas), "deltas": deltas, "converged": True}
+    return SamplePath(dt=dt, t_grid=np.arange(steps + 1, dtype=float) * dt, states=states[0],
+                      dW=dW, seed=seed, status=PathStatus(StatusKind.COMPLETED),
+                      labels=pr.labels, metadata=meta)

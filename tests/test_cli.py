@@ -263,6 +263,22 @@ class TestSolve:
                    "--out", str(tmp_path / "p")])
         assert rc == 0
 
+    def test_picard_path_not_converging_in_a_worker_exits_4(self, linear_file, tmp_path,
+                                                             capsys):
+        """Only path 3 needs 21 sweeps, and its batch runs in the forked
+        worker: its NonConvergenceError comes back with its type and message,
+        and the run ends with exit 4, no traceback and no manifest."""
+        out = tmp_path / "p"
+        with usable_cpus(2), patch.object(os, "fork", wraps=os.fork) as fork:
+            rc = main(["solve", str(linear_file), "--method", "picard", "--dt", "1e-2",
+                       "--t-end", "0.5", "--iterations", "20", "--paths", "4", "--seed", "10",
+                       "--out", str(out)])
+        assert rc == 4 and fork.call_count == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration did not converge after 20 sweeps")
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_unit_prob_method(self, paper_file, tmp_path):
         from sdaekit.unit_prob import paper_example_spec
         from sdaekit.expr import to_text
@@ -453,6 +469,8 @@ SOLVES = {
     "bounded": ["--method", "bounded", "--epsilon", "0.5", "--alpha", "0.8",
                 "--box=-2:2,-5:5", "--dt", "1e-3", "--t-end", "0.2", "--paths", "8",
                 "--seed", "7"],
+    "picard": ["--method", "picard", "--dt", "1e-2", "--t-end", "0.5", "--paths", "4",
+               "--seed", "9"],
 }
 
 
@@ -468,7 +486,7 @@ class TestForkedOutputs:
 
     @pytest.mark.parametrize("method", list(SOLVES))
     def test_outputs_byte_identical_at_any_cpu_count(self, method, request, tmp_path):
-        problem = request.getfixturevalue("linear_file" if method == "index1" else "paper_file")
+        problem = request.getfixturevalue("paper_file" if method == "bounded" else "linear_file")
         argv = ["solve", str(problem), *SOLVES[method], "--save-paths", "3"]
         runs = {}
         for cpus in (1, 2):

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import newton_batch_reference
+from helpers import newton_batch_reference, usable_cpus
 from sdaekit import integrator
-from sdaekit.bounded import BoundedMConfig, SolveMode, _stabilised_sde
+from sdaekit.bounded import BoundedMConfig, SolveMode, _bounded_setup
 from sdaekit.expr import parse
 from sdaekit.index1 import index1_setup
 from sdaekit.integrator import (
@@ -31,6 +31,7 @@ from sdaekit.integrator import (
     wiener_increments,
     write_path_csv,
 )
+from sdaekit.picard import picard_setup, picard_solve
 from sdaekit.problem import SdaeProblem, builtin
 from sdaekit.stats import run_ensemble
 from sdaekit.unit_prob import build_unit_prob_sde, consistent_init, paper_example_spec
@@ -483,6 +484,39 @@ class TestBatchEqualsSingle:
         assert sorted(ended) == [882, 1730, 2323, 2612, 3079, 3105, 3221]
         assert_batch_equals_single(sde, init, ens)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @pytest.mark.parametrize("name, sweeps", [("linear-index1", [19, 21]),
+                                              ("noisy-2x2", [19, 20, 21])])
+    def test_picard_paths_converging_after_different_sweep_counts(self, name, sweeps, chunk,
+                                                                  cpus):
+        """A path leaves the sweeps once its delta meets tol, so the later
+        sweeps of its batch change none of its bits: each path of the
+        ensemble equals picard_solve on its seed alone."""
+        pr = builtin(name) if name == "linear-index1" else picard_2x2_problem()
+        sde, init = picard_setup(pr)
+        with usable_cpus(cpus):
+            ens = run_ensemble(sde, init, 1e-2, 0.5, 8, 9, chunk=chunk, problem=pr)
+        singles = [picard_solve(pr, 1e-2, 0.5, seed=path.seed) for path in ens.paths]
+        assert sorted({single.metadata["iterations"] for single in singles}) == sweeps
+        for path, single in zip(ens.paths, singles, strict=True):
+            assert path.status.completed and len(path) == 51
+            assert path.states.tobytes() == single.states.tobytes()
+            assert path.dW.tobytes() == single.dW.tobytes()
+            assert path.t_grid.tobytes() == single.t_grid.tobytes()
+
+
+def picard_2x2_problem():
+    """n = m = p = d = 2 with Gamma != 0, so the sweep's Gamma sums are used."""
+    return SdaeProblem(
+        n=2, m=2, p=2, d=2,
+        f=[parse("x2 + u1"), parse("-x1 + u2")],
+        sigma=[[parse("0.2"), parse("0")], [parse("0.1"), parse("0.3")]],
+        g=[parse("u1 + 0.1*u2 - x1 - 0.05*x2^2"), parse("u2 - 0.2*x2 + 0.3*sin(x1)")],
+        gamma=[[parse("0.05"), parse("0")], [parse("0"), parse("0.1")]],
+        x0=[0.0, 0.0], u0_guess=[0.0, 0.0],
+    )
+
 
 # Row kinds of the Newton reference test
 NOW, LATER, SINGULAR, NONFINITE, NEVER = range(5)
@@ -594,7 +628,7 @@ def budget_case(name):
         pr = builtin("paper-example")
         cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2.0, 2.0), (-5.0, 5.0)],
                              b=11.0, J_raw=4.0)
-        sde, init = _stabilised_sde(pr, cfg, SolveMode.NEWTON_PER_STEP)
+        _, sde, init = _bounded_setup(pr, cfg, 1e-3, SolveMode.NEWTON_PER_STEP)
         return sde, init, 1e-3
     sde, init = index1_setup(builtin("linear-index1"))
     return sde, init, 1e-2

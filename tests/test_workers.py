@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import in_shared_mapping, usable_cpus
 from sdaekit import _workers
-from sdaekit.bounded import BoundedMConfig, SolveMode, _stabilised_sde
+from sdaekit.bounded import BoundedMConfig, SolveMode, _bounded_setup
 from sdaekit.index1 import index1_setup
 from sdaekit.integrator import AugmentedSde
 from sdaekit.problem import builtin
@@ -37,7 +37,8 @@ def case(name):
     if name == "bounded-newton":
         cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2.0, 2.0), (-5.0, 5.0)],
                              b=11.0, J_raw=4.0)
-        sde, init = _stabilised_sde(builtin("paper-example"), cfg, SolveMode.NEWTON_PER_STEP)
+        _, sde, init = _bounded_setup(builtin("paper-example"), cfg, 1e-3,
+                                      SolveMode.NEWTON_PER_STEP)
         return sde, init, 1e-3, 0.05, 11
     if name == "index1":  # paths end singular-reduction
         sde, init = index1_setup(index1_sqrt_problem())
