@@ -23,6 +23,15 @@ With one algebraic variable (m = 1) the update is the quotient h / D_u h and
 the singular test reads D_u h itself, with no LAPACK call; m >= 2 solves with
 LAPACK.  Every Newton solve here stops at a residual of NEWTON_TOL (1e-10).
 
+For m = 1 each step is one generated function
+(``expr.compile_newton_step``): the x-only nodes once, h and D_u h at the
+current u, the update u1 = u - h / D_u h, the confirming residual at u1, and
+the drift and diffusion at (x, u1), whose nodes are shared with h's.  When
+every path converges after that one update, the usual case, the projection
+returns it together with the next step's coefficients and the engine skips
+its own coefficient call; otherwise the Newton loop runs from u.  Paths are
+the same bit for bit either way.
+
 Both modes refuse a gain with b dt >= 2 (MethodPreconditionError): on the
 grid the step gives lambda_{k+1} = (1 - b dt) lambda_k + (Dg sigma) dW_k,
 whose mean square diverges there.  Below that it rises to J / (b (2 - b dt)),
@@ -35,6 +44,9 @@ saying that no gain does when J dt > eps^2 alpha.  ``ViolationReport``'s
 from __future__ import annotations
 
 import enum
+import functools
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -206,6 +218,19 @@ def build_bounded_constraint(pr: SdaeProblem, b: float) -> SdaeProblem:
     )
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _user_stacklevel() -> int:
+    """The ``stacklevel`` that makes a ``warnings.warn`` in the caller of this
+    function name the first frame outside sdaekit, however deep the package's
+    own calls go (``warnings``' ``skip_file_prefixes`` needs Python 3.12)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
     """Fill in J (grid supremum) and b (gain) where the caller left them open."""
     out = cfg
@@ -220,7 +245,7 @@ def resolve_config(pr: SdaeProblem, cfg: BoundedMConfig) -> BoundedMConfig:
             f"gain b = {out.b:g} is not above the threshold {threshold:g}; the "
             f"probability target P(|lambda| > {out.epsilon:g}) <= {out.alpha:g} "
             "is not guaranteed",
-            stacklevel=2,
+            stacklevel=_user_stacklevel(),
         )
     return out
 
@@ -248,7 +273,7 @@ def _check_step(cfg: BoundedMConfig, dt: float) -> None:
         f"gain b = {b:g} with dt = {dt:g}: on the grid E|lambda|^2 rises to "
         f"J/(b (2 - b dt)) = {J / (b * (2.0 - b * dt)):g}, above eps^2 alpha = {budget:g}, "
         f"so P(|lambda| > {cfg.epsilon:g}) <= {cfg.alpha:g} is not guaranteed; {remedy}",
-        stacklevel=4,
+        stacklevel=_user_stacklevel(),
     )
 
 
@@ -261,7 +286,8 @@ def _h_system(h_pr: SdaeProblem):
     """``state -> fn`` with ``fn(u) = (h, D_u h)`` at the state's x columns.
 
     One staged kernel gives both: the nodes of h and D_u h that depend on x
-    alone are computed once per state, the rest once per Newton iterate.
+    alone are computed once per state, at the first call of ``fn``, the rest
+    once per Newton iterate.
     """
     prepare, finish = expr.compile_staged(
         h_pr.labels, h_pr.x_labels,
@@ -270,10 +296,12 @@ def _h_system(h_pr: SdaeProblem):
     n = h_pr.n
 
     def at(state: np.ndarray):
-        prepared = prepare(state)
-        points = np.array(state, dtype=float)
+        staged = []  # (prepared, points) once fn is first called
 
         def fn(u):
+            if not staged:
+                staged.extend((prepare(state), np.array(state, dtype=float)))
+            prepared, points = staged
             points[:, n:] = u
             k = finish(prepared, points)
             return k["h"], k["jac"]
@@ -298,8 +326,16 @@ def _initial_algebraic_value(h_pr: SdaeProblem) -> np.ndarray:
 
 
 def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem) -> AugmentedSde:
-    """x steps with (f, sigma); u is projected onto h(x, u) = 0 by Newton."""
-    coeff = expr.compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
+    """x steps with (f, sigma); u is projected onto h(x, u) = 0 by Newton.
+
+    For m = 1 the projection hands ``_newton_batch`` one generated step
+    (``expr.compile_newton_step``) as its fast path: the update, its
+    confirming residual and the drift and diffusion at the updated point,
+    which the engine then takes for the next step instead of calling
+    ``both``.  m >= 2 solves with LAPACK and the engine calls ``both``.
+    """
+    coefficients = {"drift": pr.f, "diffusion": pr.sigma}
+    coeff = expr.compile_kernel(pr.labels, coefficients)
     h_at = _h_system(h_pr)
     n = pr.n
 
@@ -307,8 +343,21 @@ def _newton_sde(pr: SdaeProblem, h_pr: SdaeProblem) -> AugmentedSde:
         k = coeff(points)
         return None, k["drift"], k["diffusion"]
 
-    def project(state):
-        return _newton_batch(h_at(state), state[:, n:], NEWTON_TOL)
+    if pr.m == 1:
+        (u_label,) = pr.u_labels
+        step = expr.compile_newton_step(
+            pr.labels, u_label, h_pr.g[0], expr.differentiate(h_pr.g[0], u_label), coefficients,
+        )
+
+        def project(state):
+            u, converged, singular, iters, after = _newton_batch(
+                h_at(state), state[:, n:], NEWTON_TOL, functools.partial(step, state),
+            )
+            ahead = None if after is None else (None, after["drift"], after["diffusion"])
+            return u, converged, singular, iters, ahead
+    else:
+        def project(state):
+            return _newton_batch(h_at(state), state[:, n:], NEWTON_TOL)
 
     return AugmentedSde(
         dim=pr.n + pr.m, d=pr.d, labels=pr.labels, both=both, project=project, problem=pr,

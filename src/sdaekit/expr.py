@@ -19,11 +19,15 @@ operation, so a kernel's entries equal the per-entry evaluation of
 :func:`compile_expr` bit for bit.  A call site that solves for some
 variables while holding the others fixed uses the staged form
 (:func:`compile_staged`): ``prepare`` computes the nodes of the fixed
-variables once, ``finish`` the rest per iterate, with the same bits.
-Operations on constants alone also run through numpy, so out-of-domain
-constants give nan or inf like any other node.
+variables once, ``finish`` the rest per iterate, with the same bits.  For
+one scalar unknown, :func:`compile_newton_step` fuses a whole Newton step
+with what follows it: the fixed nodes once, the residual and its
+derivative, the update, the residual at the update and further outputs
+there, again with the same bits.  Operations on constants alone also run
+through numpy, so out-of-domain constants give nan or inf like any other
+node.
 
-Every vectorised evaluation in the package goes through these two
+Every vectorised evaluation in the package goes through these
 generators.  The older environment-dict API (:func:`make_env` with
 :class:`CompiledVector` / :class:`CompiledMatrix`) is kept public, with the
 same signatures and bits, only as a shim for outside callers; nothing in the
@@ -72,6 +76,7 @@ __all__ = [
     "compile_expr",
     "compile_kernel",
     "compile_staged",
+    "compile_newton_step",
     "CompiledVector",
     "CompiledMatrix",
     "make_env",
@@ -689,15 +694,38 @@ class _SharedEmitter:
     Each node also gets a stage: ``_CONST`` without variables, ``_FIXED`` when
     every variable below it is in ``fixed``, ``_FREE`` otherwise.  A staged
     kernel computes the first two stages once and the last per call.
+
+    With ``arrays``, for kernels whose variables are float64 arrays, a
+    literal operand of ``+ - * /`` beside a variable operand is printed as
+    the name of a read-only 0-d float64 array in ``constants``, which the
+    kernel's namespace binds.  Against a float64 array it gives the same
+    float64 operation, and numpy applies it without converting a Python
+    float on every call.
     """
 
-    def __init__(self, fixed: frozenset[str] = frozenset()):
+    def __init__(self, fixed: frozenset[str] = frozenset(), arrays: bool = False):
         self.fixed = fixed
+        self.arrays = arrays
         self.nodes: list[tuple[str, str, tuple[str, ...]]] = []  # (name, source, operands)
         self.names: set[str] = set()
         self.stage: dict[str, int] = {}  # source of every leaf and name of every node
         self.by_id: dict[int, str] = {}
         self.by_key: dict[tuple[str, ...], str] = {}
+        self.literals: dict[str, float] = {}  # source of every literal -> its value
+        self.constants: dict[str, np.ndarray] = {}  # name -> 0-d array
+        self.constant_names: dict[str, str] = {}  # literal source -> name
+
+    def _operand(self, kid: str) -> str:
+        """``kid``'s source as a binary operand beside a variable one."""
+        if not self.arrays or kid not in self.literals:
+            return kid
+        name = self.constant_names.get(kid)
+        if name is None:
+            name = self.constant_names[kid] = f"_k{len(self.constants)}"
+            value = np.array(self.literals[kid])
+            value.flags.writeable = False
+            self.constants[name] = value
+        return name
 
     def code(self, e: Expression) -> str:
         hit = self.by_id.get(id(e))
@@ -706,6 +734,7 @@ class _SharedEmitter:
         if isinstance(e, Constant):
             out = _const_code(e.value)
             self.stage[out] = _CONST
+            self.literals[out] = e.value
         elif isinstance(e, Variable):
             self.names.add(e.name)
             out = e.name
@@ -719,7 +748,10 @@ class _SharedEmitter:
                 self.by_key[key] = out
                 stage = max(self.stage[k] for k in kids)
                 self.stage[out] = stage
-                self.nodes.append((out, _node_code(e, *kids, constant=stage == _CONST), kids))
+                printed = kids
+                if stage != _CONST and e.op in _BINARY_SYMBOLS:
+                    printed = tuple(self._operand(k) for k in kids)
+                self.nodes.append((out, _node_code(e, *printed, constant=stage == _CONST), kids))
         self.by_id[id(e)] = out
         return out
 
@@ -744,7 +776,8 @@ def _nested_entries(value, index=()):
 
 
 def _assemble(em: _SharedEmitter, outputs: Mapping[str, object]):
-    """Emit every output entry; returns (assignment lines, return line, entry sources)."""
+    """Emit every output entry; returns (assignment lines, the source of the
+    result dict, entry sources)."""
     assign: list[str] = []
     used: list[str] = []
     for k, (name, value) in enumerate(outputs.items()):
@@ -756,22 +789,22 @@ def _assemble(em: _SharedEmitter, outputs: Mapping[str, object]):
             used.append(code)
             assign.append(f"    _o{k}[{where}] = {code}")
     result = ", ".join(f"{name!r}: _o{k}" for k, name in enumerate(outputs))
-    return assign, f"    return {{{result}}}", used
+    return assign, f"{{{result}}}", used
 
 
-def _exec(lines: list[str], *names: str):
-    namespace = {"_np": np}
+def _exec(em: _SharedEmitter, lines: list[str], *names: str):
+    namespace = {"_np": np, **em.constants}
     exec(compile("\n".join(lines), "<sdae-kernel>", "exec"), namespace)
     return tuple(namespace[nm] for nm in names)
 
 
-def _generate(header: list[str], outputs: Mapping[str, object], bind) -> Callable:
+def _generate(header: list[str], outputs: Mapping[str, object], bind, arrays: bool) -> Callable:
     """Compile ``header``, one line per variable from ``bind``, then the outputs."""
-    em = _SharedEmitter()
-    assign, ret, _ = _assemble(em, outputs)
+    em = _SharedEmitter(arrays=arrays)
+    assign, result, _ = _assemble(em, outputs)
     lines = header + [f"    {nm} = {bind(nm)}" for nm in sorted(em.names)]
-    lines += [f"    {out} = {src}" for out, src, _ in em.nodes] + assign + [ret]
-    return _exec(lines, "_kernel")[0]
+    lines += [f"    {out} = {src}" for out, src, _ in em.nodes] + assign + [f"    return {result}"]
+    return _exec(em, lines, "_kernel")[0]
 
 
 def _point_binder(labels: tuple[str, ...]):
@@ -805,7 +838,7 @@ def compile_kernel(
     """
     labels = tuple(labels)
     header = ["def _kernel(points):", _POINTS_HEADER, "    batch = points.shape[:-1]"]
-    return _generate(header, outputs, _point_binder(labels))
+    return _generate(header, outputs, _point_binder(labels), arrays=True)
 
 
 def compile_staged(
@@ -824,8 +857,8 @@ def compile_staged(
     """
     labels = tuple(labels)
     bind = _point_binder(labels)
-    em = _SharedEmitter(frozenset(fixed))
-    assign, ret, entries = _assemble(em, outputs)
+    em = _SharedEmitter(frozenset(fixed), arrays=True)
+    assign, result, entries = _assemble(em, outputs)
     pre = [(out, src, kids) for out, src, kids in em.nodes if em.stage[out] != _FREE]
     post = [(out, src, kids) for out, src, kids in em.nodes if em.stage[out] == _FREE]
     pre_used = {k for _, _, kids in pre for k in kids}
@@ -841,12 +874,94 @@ def compile_staged(
     if carried:
         lines.append(f"    {pack} = prepared")
     lines += [f"    {nm} = {bind(nm)}" for nm in sorted(em.names & post_used)]
-    lines += [f"    {out} = {src}" for out, src, _ in post] + assign + [ret]
-    return _exec(lines, "_prepare", "_finish")
+    lines += [f"    {out} = {src}" for out, src, _ in post] + assign + [f"    return {result}"]
+    return _exec(em, lines, "_prepare", "_finish")
+
+
+def _closure(em: _SharedEmitter, roots: Iterable[str]) -> set[str]:
+    """Names of the nodes that the sources ``roots`` read, themselves included."""
+    kids = {out: operands for out, _, operands in em.nodes}
+    need: set[str] = set()
+    stack = list(roots)
+    while stack:
+        nm = stack.pop()
+        if nm in kids and nm not in need:
+            need.add(nm)
+            stack.extend(kids[nm])
+    return need
+
+
+def compile_newton_step(
+    labels: Iterable[str],
+    unknown: str,
+    residual: Expression,
+    derivative: Expression,
+    outputs: Mapping[str, object],
+) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """One scalar Newton update, its confirming residual and what follows it,
+    as one generated numpy function.
+
+    Returns ``step(points, u) -> (res, a, delta, u_new, res_new, after)``.
+    ``points`` has shape ``(..., len(labels))`` and supplies every label but
+    ``unknown``, whose value is ``u`` of shape ``(..., 1)``.  ``res`` (shape
+    ``(..., 1)``) and ``a`` (shape ``(...)``) are ``residual`` and
+    ``derivative`` at u, ``delta = res / a[..., None]``, ``u_new = u -
+    delta``, ``res_new`` is the residual at u_new and ``after`` the dict
+    :func:`compile_kernel` would give for ``outputs`` at the points with u_new.
+
+    The nodes free of ``unknown`` are computed once; the others once at u
+    and once at u_new, and at u_new only those the residual and ``outputs``
+    read.  Every node is printed as :func:`compile_staged` prints it, and u
+    is read from the unknown's column of a (..., N) scratch array, the
+    layout of the copy of the points from which a staged Newton solve reads
+    it, so each value equals that of ``finish`` at u and at u_new and of
+    ``compile_kernel`` at u_new, bit for bit.
+    """
+    labels = tuple(labels)
+    bind = _point_binder(labels)
+    bind(unknown)  # refuses an unknown that is not a label
+    col = labels.index(unknown)
+    em = _SharedEmitter(frozenset(labels) - {unknown}, arrays=True)
+    res, jac = em.code(residual), em.code(derivative)
+    assign, result, entries = _assemble(em, outputs)
+    first = _closure(em, [res, jac])
+    second = _closure(em, [res, *entries])
+
+    def nodes(need: set[str], free: bool) -> list[str]:
+        return [f"    {out} = {src}" for out, src, _ in em.nodes
+                if out in need and (em.stage[out] == _FREE) == free]
+
+    def array(name: str, code: str, column: bool) -> list[str]:
+        """``name`` = the value of ``code`` as an array of the batch shape,
+        plus a trailing axis of 1 with ``column``: a view of a node's own
+        array, or a new array for a constant or a variable (a variable
+        views the points or the scratch)."""
+        if code not in em.names and em.stage[code] != _CONST:
+            return [f"    {name} = {code}{'[..., None]' if column else ''}"]
+        if column:
+            return [f"    {name} = _np.empty(batch + (1,))", f"    {name}[..., 0] = {code}"]
+        return [f"    {name} = _np.empty(batch)", f"    {name}[...] = {code}"]
+
+    lines = ["def _step(points, u):", "    points = _np.asarray(points, dtype=float)",
+             "    batch = points.shape[:-1]"]
+    lines += [f"    {nm} = {bind(nm)}" for nm in sorted(em.names - {unknown})]
+    lines += nodes(first | second, False)
+    # u is read from a column of a (..., N) scratch, as a staged solve reads
+    # it from its copy of the points; the view follows the write of u_new
+    lines += ["    _p = _np.empty(points.shape)", f"    _p[..., {col}:{col + 1}] = u",
+              f"    {unknown} = _p[..., {col}]"]
+    lines += nodes(first, True)
+    lines += array("_res", res, True) + array("_a", jac, False)
+    lines += ["    _delta = _res / _a[..., None]", "    _u = u - _delta",
+              f"    _p[..., {col}:{col + 1}] = _u"]
+    lines += nodes(second, True) + array("_res_new", res, True)
+    lines += assign + [f"    return _res, _a, _delta, _u, _res_new, {result}"]
+    return _exec(em, lines, "_step")[0]
 
 
 def _compile_env_kernel(value) -> Callable[[Mapping[str, np.ndarray], tuple[int, ...]], dict[str, np.ndarray]]:
-    return _generate(["def _kernel(env, batch):"], {"out": value}, lambda nm: f"env['{nm}']")
+    return _generate(["def _kernel(env, batch):"], {"out": value}, lambda nm: f"env['{nm}']",
+                     arrays=False)
 
 
 class CompiledVector:

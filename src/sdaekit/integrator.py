@@ -15,8 +15,12 @@ Every method runs on one engine, ``_em_batch``.  Each step makes one call
 from the same evaluation as its coefficients (``guarded_sde`` builds it for
 the closed-form reductions).  Methods that keep part of the state on a
 constraint (bounded Newton) add a ``project`` hook that fills those columns
-after the step.  Picard's fixed-point sweeps are not steps: its SDE's
-``integrate`` hook takes the whole batch in place of the step loop.  The
+after the step; it may also return the next step's coefficients, computed
+in the same call, and the engine then skips ``both`` for that step.
+Picard's fixed-point sweeps are not steps: its SDE's ``integrate`` hook
+takes the whole batch in place of the step loop.  Methods whose state must
+stay in a set (Algorithm 1's eps band) add an ``outside`` hook, checked on
+each path once the batch is integrated.  The
 engine fills a batch's buffers in place (``_Chunk``, one byte buffer per
 batch), and a path is a view of its row.
 ``stats.run_ensemble`` runs its batches in forked worker processes when it
@@ -29,11 +33,16 @@ Every algebraic solve in the package runs on one batched Newton loop,
 ``_newton_batch``, whose ``(u, converged, singular, iters)`` result is the
 ``project`` hook's contract: the per-step projection of bounded Newton and
 the one-point consistent initial values (bounded, the index reduction and
-Algorithm 1's characteristic) all call it, the last on a batch of one.
+Algorithm 1's characteristic) all call it, the last on a batch of one.  The
+per-step projection with one algebraic variable also hands it a fused step,
+one generated call giving the update, its confirming residual and the next
+coefficients, which it returns at once when every row converges after that
+one update, and otherwise runs the loop, with the loop's bits either way.
 
-Paths that leave the coefficient domain, trip a reduction's singular guard or
-fail their projection are truncated and returned with a status instead of
-raising: Monte Carlo statistics must be able to count failures.
+Paths that leave the coefficient domain, trip a reduction's singular guard,
+fail their projection or leave their method's band are truncated and
+returned with a status instead of raising: Monte Carlo statistics must be
+able to count failures.
 """
 
 from __future__ import annotations
@@ -177,13 +186,26 @@ def n_steps(T: float, dt: float) -> int:
 
 
 class StatusKind(enum.Enum):
+    """How a path ended.
+
+    ``completed``: it reached the horizon.  ``domain-error``: a state was not
+    finite, or its projection did not converge.  ``singular-reduction``: the
+    reduction's guard failed, or its projection met a singular Jacobian.
+    ``band-exit``: the state left the set its method promises to keep it in
+    (Algorithm 1's eps band, ``AugmentedSde.outside``).
+    """
+
     COMPLETED = "completed"
     DOMAIN_ERROR = "domain-error"
     SINGULAR_REDUCTION = "singular-reduction"
+    BAND_EXIT = "band-exit"
 
 
 @dataclass(frozen=True)
 class PathStatus:
+    """A path's ending: its kind and, unless it completed, the grid point at
+    which it ended, which is the path's last point (``kind@step``)."""
+
     kind: StatusKind
     step: int | None = None
 
@@ -211,15 +233,25 @@ class AugmentedSde:
     then assembles the same triple from them.
 
     ``project`` (optional) fills the remaining dim - k columns after each
-    step: ``project(state) -> (u, converged, singular, iters)``, where
-    ``state`` holds the stepped columns and the previous values of the
+    step: ``project(state) -> (u, converged, singular, iters[, ahead])``,
+    where ``state`` holds the stepped columns and the previous values of the
     others.  A singular path ends singular-reduction and an unconverged one
     domain-error at that step; ``iters`` is summed per path into
-    ``metadata["newton_iterations"]``.
+    ``metadata["newton_iterations"]``.  ``ahead``, when given and not None,
+    is the ``(ok, drift, diffusion)`` triple of the next step, at the state
+    with u filled in; the engine then uses it instead of calling ``both``.
+    Bounded Newton with one algebraic variable computes it in the same call
+    as the update.
 
     ``integrate(dt, states, dW)`` (optional) replaces the step loop: it fills
     a batch's states (P, steps + 1, dim) from row 0 in place, and every path
     completes or it raises.  Picard's sweeps run this way.
+
+    ``outside(states) -> mask`` (optional) marks the grid points of one
+    path's states (K + 1, dim) that lie outside the set the method keeps the
+    state in.  After the batch is integrated, a path with such a point ends
+    band-exit at the first one; a path without one keeps its status and its
+    bits.  Algorithm 1 marks |g(x)| >= eps.
     """
 
     dim: int
@@ -232,6 +264,7 @@ class AugmentedSde:
     problem: SdaeProblem | None = None
     project: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
     integrate: Callable[[float, np.ndarray, np.ndarray], object] | None = None
+    outside: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -289,6 +322,7 @@ _KIND_ORDER = (
     StatusKind.COMPLETED,
     StatusKind.DOMAIN_ERROR,
     StatusKind.SINGULAR_REDUCTION,
+    StatusKind.BAND_EXIT,
 )
 
 
@@ -331,7 +365,17 @@ def _eye(m: int) -> np.ndarray:
     return eye
 
 
-def _newton_batch(fn, u0, tol):
+@functools.lru_cache(maxsize=None)
+def _one_update(P: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (converged, singular, iters) of P rows that all converged
+    after one update, shared by every fast-path Newton solve of P rows."""
+    flags = np.ones(P, dtype=bool), np.zeros(P, dtype=bool), np.ones(P, dtype=np.int64)
+    for a in flags:
+        a.flags.writeable = False
+    return flags
+
+
+def _newton_batch(fn, u0, tol, fused=None):
     """Solve res(u) = 0 row-wise, ``fn(u) -> (res, D_u res)``.
 
     Returns (u, converged, singular, iters).  A path converges when its
@@ -350,9 +394,30 @@ def _newton_batch(fn, u0, tol):
     the update is masked only once some row has left it; until then it is
     the plain ``u -= delta``, the same float operation on every row.
 
+    ``fused`` (optional, m = 1) is the fast path for the common step, one
+    update that converges: ``fused(u0) -> (res, a, delta, u1, res1, after)``
+    gives in one call the residual and a = D_u res at u0, the update delta =
+    res / a[:, None], u1 = u0 - delta, the residual at u1 and whatever
+    ``after`` the caller computes at u1 (bounded Newton's next drift and
+    diffusion).  Four counts test it: no row has converged at u0, every a is
+    ``regular``, every delta is finite and every row has converged at u1.
+    When all four pass, the loop would make exactly this update and stop, so
+    the result is returned at once, with ``after`` as a fifth entry and
+    converged, singular and iters shared read-only arrays; otherwise the
+    loop runs from u0 and the fifth entry is None.  Either way every row
+    gets the loop's bits.
+
     It sets no numpy error state: the engine's step loop already ignores
     floating-point errors, and each one-point caller does so itself.
     """
+    if fused is not None:
+        res, a, delta, u1, res1, after = fused(u0)
+        P = len(u0)
+        if (NEWTON_MAX_ITER > 1 and not np.count_nonzero(np.abs(res) <= tol)
+                and np.count_nonzero(regular(a)) == P
+                and np.count_nonzero(np.isfinite(delta)) == P
+                and np.count_nonzero(np.abs(res1) <= tol) == P):
+            return (u1, *_one_update(P), after)
     u = u0.copy()
     P, m = u.shape
     converged = np.zeros(P, dtype=bool)
@@ -397,6 +462,8 @@ def _newton_batch(fn, u0, tol):
         else:
             u = np.where(pending[:, None], u - delta, u)
             iters += pending
+    if fused is not None:
+        return u, converged, singular, iters, None
     return u, converged, singular, iters
 
 
@@ -436,24 +503,47 @@ def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
     """Advance a batch of paths from ``buf.states[:, 0]`` with ``buf.dW``,
     filling ``buf`` in place: the states, and each path's stop step, status
     code and (with a ``project`` hook) summed projection iterations.  An SDE
-    with an ``integrate`` hook gets the whole batch instead.
+    with an ``integrate`` hook gets the whole batch instead.  With an
+    ``outside`` hook, each path's integrated states are then checked in one
+    call (``_band_exits``).
+    """
+    stop, kind, iters = buf.stop, buf.kind, buf.iters
+    stop.fill(buf.dW.shape[1])
+    kind.fill(0)
+    if iters is not None:
+        iters.fill(0)
+    if sde.integrate is not None:
+        sde.integrate(dt, buf.states, buf.dW)
+    else:
+        _step_loop(sde, dt, buf)
+    if sde.outside is not None:
+        _band_exits(sde.outside, buf)
+
+
+def _band_exits(outside, buf: _Chunk) -> None:
+    """End each path of the batch whose integrated states have a point that
+    ``outside`` marks at the first such point, with status band-exit."""
+    code = _KIND_ORDER.index(StatusKind.BAND_EXIT)
+    for k, last in enumerate(buf.stop.tolist()):
+        hit = np.flatnonzero(outside(buf.states[k, : last + 1]))
+        if hit.size:
+            buf.kind[k] = code
+            buf.stop[k] = hit[0]
+
+
+def _step_loop(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
+    """``_em_batch``'s Euler-Maruyama loop; every path of ``buf`` starts alive.
 
     The state is updated with the same float operations in the same order
     as X + f dt + sum_j sigma_j dW_j.  Every test is a count.  The guard,
     finiteness and projection masks are built only when their count shows a
     failure, and the state and iteration updates are masked only once some
     path has ended; until then they are the plain forms, which give every
-    row the same values.
+    row the same values.  A step's coefficients come from ``both``, or from
+    the previous step's projection when it returned them.
     """
     states, dW, stop, kind, iters = buf.states, buf.dW, buf.stop, buf.kind, buf.iters
     P, steps = dW.shape[:2]
-    stop.fill(steps)
-    kind.fill(0)
-    if iters is not None:
-        iters.fill(0)
-    if sde.integrate is not None:
-        sde.integrate(dt, states, dW)
-        return
     step = _step_fn(sde)
     project = sde.project
     alive = np.ones(P, dtype=bool)
@@ -471,22 +561,24 @@ def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
 
     singular = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
     domain = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
-    x_next = noise = None
+    x_next = noise = ahead = None
     with np.errstate(all="ignore"):
         for k in range(steps):
             if not n_alive:
                 break
-            ok, a, b = step(x)
+            ok, a, b = step(x) if ahead is None else ahead
             if ok is not None and np.count_nonzero(ok) < P:
                 end(alive & ~ok, singular, k)
                 if not n_alive:
                     break
             if x_next is None:  # the stepped columns are known from the first drift
                 n = a.shape[-1]
-                x_next, noise = np.empty((P, n)), np.empty((P, n))
                 stepped = x[:, :n]
+                # ``xs`` holds the values of ``stepped`` in a contiguous array,
+                # whose sum with x_next numpy makes in one pass, not per row
+                xs, x_next, noise = stepped.copy(), np.empty((P, n)), np.empty((P, n))
             np.multiply(a, dt, out=x_next)
-            np.add(stepped, x_next, out=x_next)
+            np.add(xs, x_next, out=x_next)
             for j in range(sde.d):
                 np.multiply(b[:, :, j], dW[:, k, j, None], out=noise)
                 x_next += noise
@@ -495,10 +587,13 @@ def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
                 end(alive & ~finite.all(axis=1), domain, k)
             if n_alive == P:
                 np.copyto(stepped, x_next)
+                xs, x_next = x_next, xs
             else:
                 np.copyto(stepped, x_next, where=alive[:, None])
+                np.copyto(xs, x_next, where=alive[:, None])
             if project is not None:
-                u, converged, sing, it = project(x)
+                u, converged, sing, it, *after = project(x)
+                ahead = after[0] if after else None
                 if n_alive == P:
                     iters += it
                 else:

@@ -11,8 +11,13 @@ sup_v |g(y(v))| < eps, the algebraic variable receives the dynamics
     a   = ((Dg) D_v y)^{-1} chi
 
 which freezes the composed constraint field: the value g(x(t)) equals
-g(y(u(t))) and therefore stays inside the eps-band with probability one (up
-to discretisation).  All pieces are assembled symbolically (cofactor inverse
+g(y(u(t))) and therefore stays inside the eps-band with probability one.
+On the grid that holds only up to discretisation, and the scheme can break
+it: near a small (Dg) D_v y one step can throw u far along the chart and x
+off it.  A path is therefore never left to run outside the band: the
+reduced SDE's ``outside`` hook ends it band-exit at the first grid point
+with max_i |g_i(x)| >= eps, in ``run_ensemble`` and ``solve_unit_prob``
+alike.  All pieces are assembled symbolically (cofactor inverse
 for the m-by-m solve) with explicit index summation for the mixed terms, so
 identities such as (Dg) Lam = 0 can be checked numerically at any point.
 
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -197,8 +202,18 @@ class UnitProbReduction:
         return out
 
     def sde(self) -> AugmentedSde:
-        """The reduced SDE; one step-kernel call gives its guard and coefficients."""
-        return guarded_sde(self.problem, self._step)
+        """The reduced SDE; one step-kernel call gives its guard and coefficients.
+
+        Its ``outside`` hook marks the grid points with max_i |g_i(x)| >=
+        eps, so a path that leaves the band ends band-exit there.
+        """
+        pr, epsilon = self.problem, self.spec.epsilon
+        constraint = pr.constraint_kernel(pr.labels)
+
+        def outside(states):
+            return np.abs(constraint(states)["g"]).max(axis=1) >= epsilon
+
+        return replace(guarded_sde(pr, self._step), outside=outside)
 
 
 def build_unit_prob_sde(

@@ -8,11 +8,16 @@ longer measure that layer.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_TEST = Path(__file__).resolve().parents[1] / "bench" / "test_bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_TEST = ROOT / "bench" / "test_bench.py"
 
 
 def _load_bench_test():
@@ -28,3 +33,19 @@ bench = _load_bench_test()
 @pytest.mark.parametrize("workload", bench.NAMES)
 def test_traced_tiny_run_reports_every_layer(workload):
     bench.test_reports_every_metric_and_checks(workload, trace=1)
+
+
+@pytest.mark.parametrize("seed", [24, 63])
+def test_unitprob_window_gate_at_seeds_with_band_exits(seed, tmp_path):
+    """At these seeds a path of the full-size unitprob-window run is thrown
+    off the characteristic; were it to run on as completed, criterion 4's
+    per-path band check would fail the benchmark's gate."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "--workload", "unitprob-window",
+         "--seed", str(seed), "--dir", str(tmp_path), "--trace", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (tmp_path / "result.json").is_file(), proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert proc.returncode == 0 and result["ok"], (result["checks"], proc.stderr)

@@ -13,8 +13,11 @@ from hypothesis.extra.numpy import arrays
 from helpers import bisect_root, random_points
 from sdaekit import integrator
 from sdaekit.bounded import (
+    NEWTON_TOL,
     _check_step,
+    _h_system,
     _newton_batch,
+    _newton_sde,
     BoundedMConfig,
     SolveMode,
     build_bounded_constraint,
@@ -27,7 +30,7 @@ from sdaekit.bounded import (
     verify_bound,
 )
 from sdaekit.errors import DimensionMismatchError, MethodPreconditionError
-from sdaekit.expr import evaluate, parse
+from sdaekit.expr import compile_kernel, evaluate, parse
 from sdaekit.index_reduction import reduce_once
 from sdaekit.integrator import derive_seed
 from sdaekit.problem import SINGULAR_TOL, SdaeProblem, builtin
@@ -289,6 +292,31 @@ class TestStepBoundWarning:
             for mode in SolveMode:
                 run_bounded_ensemble(pr, cfg, 1e-3, 0.01, 2, 1, mode)
 
+    @pytest.mark.parametrize("call", ["resolve_config", "solve_bounded",
+                                      "run_bounded_ensemble", "verify_bound"])
+    def test_warnings_name_the_callers_line(self, call):
+        """However deep in the package the warning is raised, it names the
+        line outside sdaekit that made the call: here, this test."""
+        pr = builtin("paper-example")
+        low = replace(self.CFG, b=5.0)  # below the threshold 10
+        runs = {
+            "resolve_config": lambda: resolve_config(pr, low),
+            "solve_bounded": lambda: solve_bounded(pr, low, 1e-2, 0.02, 1),
+            "run_bounded_ensemble": lambda: run_bounded_ensemble(pr, low, 1e-2, 0.02, 2, 1),
+            "verify_bound": lambda: verify_bound(ens, replace(low, J_raw=None)),
+        }
+        if call == "verify_bound":
+            ens = run_bounded_ensemble(pr, self.CFG, 1e-2, 0.02, 2, 1)
+        with pytest.warns(UserWarning, match="threshold") as record:
+            runs[call]()
+        assert {w.filename for w in record} == {__file__}
+
+    def test_step_warning_names_the_callers_line(self):
+        pr = builtin("paper-example")
+        with pytest.warns(UserWarning, match="on the grid") as record:
+            solve_bounded(pr, self.CFG, 0.03, 0.06, 1)
+        assert {w.filename for w in record} == {__file__}
+
     def test_below_the_threshold_only_the_threshold_warning(self):
         pr = builtin("paper-example")
         cfg = replace(self.CFG, b=5.0)  # threshold 10; b (2 - b dt) = 2.5 < 20
@@ -415,3 +443,125 @@ def test_scalar_newton_branch_equals_lapack_branch_bitwise(data):
     assert got[0].tobytes() == want[0].tobytes()
     for a, b in zip(got[1:], want[1:], strict=True):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The fused m = 1 step: the projection's fast path against the Newton loop
+# ---------------------------------------------------------------------------
+
+# Row kinds of the fused-step property
+AT_ROOT, NEAR, SINGULAR, NONFINITE, FAR = range(5)
+
+
+def _fused_case(name):
+    """(problem, its SDE, the staged ``state -> fn``, the coefficient kernel):
+    paper-example (h affine in u, D_u h = 2 - 3 x1^2) or the fold (h = u^3 -
+    u + 0.3 + 2 x1, which Newton solves in several updates)."""
+    if name not in _FUSED_CASES:
+        pr, b = (builtin("paper-example"), 11.0) if name == "paper" else (fold_problem(), 2.0)
+        h_pr = build_bounded_constraint(pr, b)
+        coeff = compile_kernel(pr.labels, {"drift": pr.f, "diffusion": pr.sigma})
+        _FUSED_CASES[name] = pr, _newton_sde(pr, h_pr), _h_system(h_pr), coeff
+    return _FUSED_CASES[name]
+
+
+_FUSED_CASES: dict = {}
+
+
+def fused_states(name, kinds, x, offset, bad):
+    """States (P, n + 1) whose row r is of kind ``kinds[r]``: u at a root the
+    loop found (AT_ROOT, no update), a root plus ``offset`` (NEAR), 10^6 to
+    10^12 away (FAR, rounding or the cubic needs more updates), D_u h = 0
+    (SINGULAR: x1 = +-sqrt(2/3) on paper-example, u = +-sqrt(1/3) on the fold),
+    or a ``bad`` non-finite x1 or u (NONFINITE)."""
+    pr, _, h_at, _ = _fused_case(name)
+    n, P = pr.n, len(kinds)
+    state = np.zeros((P, n + 1))
+    state[:, :n] = x[:, :n]
+    if name == "paper":
+        state[kinds == SINGULAR, 0] = np.sign(offset[kinds == SINGULAR]) * np.sqrt(2.0 / 3.0)
+    with np.errstate(all="ignore"):
+        root = _newton_batch(h_at(state), state[:, n:], NEWTON_TOL)[0][:, 0]
+    u = np.where(kinds == AT_ROOT, root, root + offset)
+    u = np.where(kinds == FAR, root + np.copysign(10.0 ** (6 + 6 * np.abs(offset) / 3), offset), u)
+    if name == "fold":
+        u = np.where(kinds == SINGULAR, np.sign(offset) * np.sqrt(1.0 / 3.0), u)
+    state[:, n] = u
+    column = np.where(np.abs(offset) < 1.5, 0, n)  # the non-finite entry: x1 or u
+    rows = np.flatnonzero(kinds == NONFINITE)
+    state[rows, column[rows]] = bad[rows]
+    return state
+
+
+def assert_fused_equals_loop(name, state):
+    """The SDE's projection (fused step for m = 1) against ``_newton_batch``
+    over the staged kernel alone: the same u, converged, singular and iters,
+    bit for bit; when the fast path gave the next coefficients, they equal
+    the coefficient kernel at the projected state."""
+    pr, sde, h_at, coeff = _fused_case(name)
+    n = pr.n
+    with np.errstate(all="ignore"):
+        got = sde.project(state)
+        want = _newton_batch(h_at(state), state[:, n:], NEWTON_TOL)
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:4], want[1:], strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    ahead = got[4]
+    if ahead is not None:
+        assert (want[1].all(), want[3].tolist()) == (True, [1] * len(state))
+        nxt = state.copy()
+        nxt[:, n:] = got[0]
+        with np.errstate(all="ignore"):
+            k = coeff(nxt)
+        assert ahead[0] is None
+        assert ahead[1].tobytes() == k["drift"].tobytes()
+        assert ahead[2].tobytes() == k["diffusion"].tobytes()
+    return got
+
+
+class TestFusedNewtonStep:
+    @pytest.mark.parametrize("P", [1, 256])
+    def test_one_update_takes_the_fast_path(self, P):
+        rng = np.random.default_rng(P)
+        kinds = np.full(P, NEAR)
+        state = fused_states("paper", kinds, rng.uniform(-0.6, 0.6, (P, 2)),
+                             rng.uniform(-2.0, 2.0, P), np.zeros(P))
+        assert assert_fused_equals_loop("paper", state)[4] is not None
+
+    @pytest.mark.parametrize("kind", [AT_ROOT, SINGULAR, NONFINITE, FAR])
+    @pytest.mark.parametrize("P", [1, 256])
+    def test_any_other_row_runs_the_loop(self, kind, P):
+        rng = np.random.default_rng(kind)
+        kinds = np.full(P, NEAR)
+        kinds[P // 2] = kind
+        state = fused_states("paper", kinds, rng.uniform(-0.6, 0.6, (P, 2)),
+                             rng.uniform(-2.0, 2.0, P), np.full(P, np.nan))
+        got = assert_fused_equals_loop("paper", state)
+        assert got[4] is None
+        assert got[3][P // 2] != 1 or kind == FAR  # FAR may still need only one
+
+    def test_fold_needs_several_updates(self):
+        P = 256
+        rng = np.random.default_rng(3)
+        kinds = np.full(P, NEAR)
+        state = fused_states("fold", kinds, rng.uniform(-0.1, 0.1, (P, 1)),
+                             rng.uniform(-0.3, 0.3, P), np.zeros(P))
+        got = assert_fused_equals_loop("fold", state)
+        assert got[4] is None and got[3].max() >= 2
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_equals_the_loop_bitwise(self, data):
+        name = data.draw(st.sampled_from(["paper", "fold"]))
+        P = data.draw(st.sampled_from([1, 2, 5, 256]))
+        n = 2 if name == "paper" else 1
+        common = data.draw(st.sampled_from([NEAR, NEAR, AT_ROOT, FAR]))
+        kinds = np.where(
+            data.draw(arrays(np.float64, P, elements=st.floats(0.0, 1.0))) < 0.9 if P > 1
+            else np.array([True]),
+            common, data.draw(arrays(np.int64, P, elements=st.integers(AT_ROOT, FAR))),
+        )
+        x = data.draw(arrays(np.float64, (P, n), elements=st.floats(-1.0, 1.0)))
+        offset = data.draw(arrays(np.float64, P, elements=st.floats(-3.0, 3.0)))
+        bad = data.draw(arrays(np.float64, P, elements=st.sampled_from([np.inf, -np.inf, np.nan])))
+        assert_fused_equals_loop(name, fused_states(name, kinds, x, offset, bad))

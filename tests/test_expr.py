@@ -23,6 +23,7 @@ from sdaekit.expr import (
     Variable,
     compile_expr,
     compile_kernel,
+    compile_newton_step,
     compile_staged,
     differentiate,
     evaluate,
@@ -458,6 +459,53 @@ def test_staged_kernel_matches_one_piece_kernel_bitwise(dag, points, fixed):
     for name in outputs:
         assert _same_bits(got[name], want[name])
         assert _same_bits(again[name], want[name])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(dag=shared_dags(), points=kernel_points)
+def test_newton_step_matches_the_staged_solve_bitwise(dag, points):
+    """Residual, derivative and outputs drawn from one random DAG (so each
+    may be a node, a variable, the unknown itself or a constant): the fused
+    step's values equal ``finish`` at u and at the update, and the outputs
+    ``compile_kernel`` at the updated points."""
+    vector, matrix = dag
+    residual, derivative = vector[0], matrix[0][0]
+    outputs = {"v": vector[1:], "m": matrix}
+    pts = np.array(points, dtype=float)
+    u = pts[:, 2:].copy()
+    step = compile_newton_step(KERNEL_LABELS, "u1", residual, derivative, outputs)
+    prepare, finish = compile_staged(KERNEL_LABELS, ("x1", "x2"),
+                                     {"res": [residual], "jac": [[derivative]]})
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        res, a, delta, u_new, res_new, after = step(pts, u)
+        prepared, scratch = prepare(pts), pts.copy()  # the staged solve's copy
+        at_u = finish(prepared, scratch)
+        want_delta = at_u["res"] / at_u["jac"][:, 0, 0][:, None]
+        scratch[:, 2:] = u - want_delta
+        at_new = finish(prepared, scratch)
+        want_after = compile_kernel(KERNEL_LABELS, outputs)(scratch)
+    assert _same_bits(res, at_u["res"]) and _same_bits(a, at_u["jac"][:, 0, 0])
+    assert _same_bits(delta, want_delta) and _same_bits(u_new, scratch[:, 2:])
+    assert _same_bits(res_new, at_new["res"])
+    for name in outputs:
+        assert _same_bits(after[name], want_after[name])
+    assert _same_bits(pts[:, 2:], u)  # the caller's points are not written
+
+
+def test_newton_step_computes_the_free_nodes_twice_and_the_rest_once():
+    h = parse("(2 - 3*x1^2)*(x1 + u1) + sin(x1)")
+    step = compile_newton_step(("x1", "u1"), "u1", h, parse("2 - 3*x1^2"),
+                               {"f": [parse("x1 + u1")]})
+    source = step.__code__.co_names + step.__code__.co_varnames
+    # x1^2, 3*x1^2, 2 - 3*x1^2 and sin(x1) once; x1 + u1, the product and
+    # the sum at u and again at the update, under the same three names
+    assert sum(nm.startswith("_t") for nm in step.__code__.co_varnames) == 7
+    assert "sin" in source
+    pts = np.array([[0.5, 2.0], [-0.2, 3.0]])
+    res, a, delta, u_new, res_new, after = step(pts, pts[:, 1:])
+    np.testing.assert_array_equal(after["f"][:, 0], pts[:, 0] + u_new[:, 0])
+    assert np.abs(res_new).max() < 1e-12
 
 
 def test_staged_kernel_splits_by_fixed_labels():

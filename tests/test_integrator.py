@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,25 @@ class TestProjection:
         assert str(path.status) == "domain-error@2"  # |x| reaches 12 at step 2
         np.testing.assert_array_equal(path.states[-1], [8.0, 16.0])
 
+    def test_outside_ends_a_path_at_its_first_marked_point(self):
+        """dx = dW with increments 0.1: x = 0.1 k, marked outside from 0.35, so
+        the path ends band-exit at grid point 4; a path that ended earlier on
+        its projection (x > 0.25 singular at step 2) keeps its status."""
+        inc = np.full((10, 1), 0.1)
+
+        def outside(states):
+            return states[:, 0] > 0.35
+
+        sde = replace(self.sde(), outside=outside)
+        path = euler_maruyama(sde, [0.0, 0.0], 0.1, 1.0, inc)
+        assert str(path.status) == "band-exit@4" and len(path) == 5
+        np.testing.assert_allclose(path.states[:, 0], 0.1 * np.arange(5), rtol=1e-12)
+        whole = euler_maruyama(self.sde(), [0.0, 0.0], 0.1, 1.0, inc)
+        assert path.states.tobytes() == whole.states[:5].tobytes()
+        ended = euler_maruyama(replace(self.sde(singular_above=0.25), outside=outside),
+                               [0.0, 0.0], 0.1, 1.0, inc)
+        assert str(ended.status) == "singular-reduction@2"
+
     def test_without_projection_no_iterations_are_recorded(self):
         sde = const_sde(1, 1, [0.0], [[1.0]])
         path = euler_maruyama(sde, [0.0], 0.1, 0.5, np.zeros((5, 1)))
@@ -598,12 +618,14 @@ class TestNewtonReference:
         assert_newton_equals_reference(kinds, c, 2.0 * np.eye(m) + 0.3 * R, u0, event, bad, tol)
 
 
-# Python-level calls per engine step with 8 live paths: 31.05 (bounded Newton,
-# two iterates) and 8.05 (index-1) measured with numpy 2.4, plus 25%.  While
-# every path lives the step loop's bookkeeping is a fixed set of counts, and
-# neither the step nor the Newton solve enters a numpy errstate of its own, so
-# this holds the lean loop on any host, where a timing could not.
-CALL_BUDGET_PER_STEP = {"bounded-newton": 38.8, "index1": 10.1}
+# Python-level calls per engine step with 8 live paths: 21.08 (bounded Newton,
+# one fused step that converges after one update, which also gives the next
+# step's coefficients) and 8.05 (index-1) measured with numpy 2.4, plus 25%.
+# While every path lives the step loop's bookkeeping is a fixed set of
+# counts, and neither the step nor the Newton solve enters a numpy errstate
+# of its own, so this holds the lean loop on any host, where a timing could
+# not.
+CALL_BUDGET_PER_STEP = {"bounded-newton": 26.4, "index1": 10.1}
 
 
 def python_calls(run):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sdaekit.errors import (
     SpecInvalidError,
 )
 from sdaekit.expr import CompiledVector, evaluate, make_env, parse
+from sdaekit.integrator import derive_seed
 from sdaekit.problem import SdaeProblem, builtin
 from sdaekit.stats import run_ensemble
 from sdaekit.unit_prob import (
@@ -221,6 +223,33 @@ class TestSolve:
         path = solve_unit_prob(pr, paper_example_spec(EPS), 1e-5, 0.5, seed=0)
         assert not path.status.completed  # truncated, no exception
         assert path.metadata["fraction_inside_band"] >= 0.99
+
+
+class TestBandExit:
+    def test_path_thrown_off_the_chart_ends_at_its_band_exit(self):
+        """Seed 24's path 242 of the benchmark's unitprob-window run nears u =
+        49, where (Dg) D_v y is 1.6e-5, above the singular guard; one step then
+        throws u to -3.5 and x off the characteristic.  It ends at the first
+        grid point with |g| >= eps instead of running on as completed."""
+        pr = builtin("paper-example")
+        path = solve_unit_prob(pr, paper_example_spec(EPS), 1e-5, 0.1, derive_seed(24, 242))
+        assert str(path.status) == "band-exit@8925"
+        assert len(path) == 8926 and path.dW.shape == (8925, pr.d)
+        g = np.abs(pr.constraint_kernel(pr.labels)(path.states)["g"][:, 0])
+        assert g[-1] >= EPS and (g[:-1] < EPS).all()
+
+    def test_paths_inside_the_band_keep_their_bits(self):
+        """The band check only truncates: a path that never leaves the band
+        equals the same path integrated without the check."""
+        pr = builtin("paper-example")
+        spec = paper_example_spec(EPS)
+        sde = build_unit_prob_sde(pr, spec).sde()
+        init = np.concatenate([pr.x0, consistent_init(spec, pr)])
+        ens = run_ensemble(sde, init, 1e-5, 0.02, 8, 7, chunk=8)
+        plain = run_ensemble(replace(sde, outside=None), init, 1e-5, 0.02, 8, 7, chunk=8)
+        for a, b in zip(ens.paths, plain.paths, strict=True):
+            assert str(a.status) == str(b.status) and not str(a.status).startswith("band-exit")
+            assert a.states.tobytes() == b.states.tobytes()
 
 
 # Exact statuses of the criterion-4 ensemble (seed 2024, dt = 1e-5, T = 0.5,
