@@ -10,9 +10,13 @@ transform is odd bit for bit: Z(1 - u) = -Z(u).  The step loop is vectorised
 across paths; a single path is just a batch of one, so both produce
 bit-identical states.
 
-Every method runs on one engine, ``_em_batch``.  Each step makes one call
-``both(x) -> (ok, drift, diffusion)``, so a reduction's singular guard comes
-from the same evaluation as its coefficients (``guarded_sde`` builds it for
+Every method runs on one engine, ``_em_batch``.  It steps the live paths of
+a batch only: a path that ends is dropped from the batch at that step, and
+the steps run in blocks whose noise and states are staged in small
+contiguous scratch arrays.  Each step makes one call
+``both(x) -> (ok, drift, diffusion)`` on the live rows, so a reduction's
+singular guard comes from the same evaluation as its coefficients
+(``guarded_sde`` builds it for
 the closed-form reductions).  Methods that keep part of the state on a
 constraint (bounded Newton) add a ``project`` hook that fills those columns
 after the step; it may also return the next step's coefficients, computed
@@ -222,6 +226,11 @@ class PathStatus:
 @dataclass
 class AugmentedSde:
     """A plain SDE produced by a reduction; every callable is batched.
+
+    Each callable sees only the rows of the paths still alive, a different
+    number of them from one call to the next, so its output for a row must
+    depend on that row alone (and on nothing the call changes): that is
+    what makes a path in a batch equal the same path alone, bit for bit.
 
     The engine makes one call per step, ``both(points) -> (ok, drift,
     diffusion)``: points of shape (P, dim) give a drift of shape (P, k) and
@@ -501,9 +510,11 @@ def _chunk_buffers(sde: AugmentedSde, P: int, steps: int, shared: bool = False) 
 
 def _em_batch(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
     """Advance a batch of paths from ``buf.states[:, 0]`` with ``buf.dW``,
-    filling ``buf`` in place: the states, and each path's stop step, status
-    code and (with a ``project`` hook) summed projection iterations.  An SDE
-    with an ``integrate`` hook gets the whole batch instead.  With an
+    filling ``buf`` in place: the states up to each path's stop step, and
+    each path's stop step, status code and (with a ``project`` hook) summed
+    projection iterations.  The step loop (``_step_loop``) steps the live
+    paths only, so a path's states after its stop step are not written.  An
+    SDE with an ``integrate`` hook gets the whole batch instead.  With an
     ``outside`` hook, each path's integrated states are then checked in one
     call (``_band_exits``).
     """
@@ -531,82 +542,112 @@ def _band_exits(outside, buf: _Chunk) -> None:
             buf.stop[k] = hit[0]
 
 
+_BLOCK = 64  # steps per staging block: bounds the (live rows, block) noise and state scratch
+
+
+def _take(keep: np.ndarray, *arrays):
+    """The rows ``keep`` of each array; None stays None."""
+    return [None if v is None else v[keep] for v in arrays]
+
+
 def _step_loop(sde: AugmentedSde, dt: float, buf: _Chunk) -> None:
     """``_em_batch``'s Euler-Maruyama loop; every path of ``buf`` starts alive.
 
     The state is updated with the same float operations in the same order
-    as X + f dt + sum_j sigma_j dW_j.  Every test is a count.  The guard,
-    finiteness and projection masks are built only when their count shows a
-    failure, and the state and iteration updates are masked only once some
-    path has ended; until then they are the plain forms, which give every
-    row the same values.  A step's coefficients come from ``both``, or from
-    the previous step's projection when it returned them.
+    as X + f dt + sum_j sigma_j dW_j.  Only the live rows are stepped: every
+    per-row array holds the live rows alone, ``rows`` their row numbers in
+    the batch, and every update is the plain form on them.  Every test is a
+    count; the guard, finiteness and projection masks are built only when
+    their count shows a failure.  When a step ends paths, their kind, stop
+    step and iterations are recorded, and one index keeps the survivors'
+    rows of every per-row array the step has computed so far, so nothing is
+    evaluated twice.  A step's coefficients come from ``both``, or from the
+    previous step's projection when it returned them.
+
+    The steps run in blocks of ``_BLOCK``.  Each block's increments of the
+    live rows are copied once into a contiguous scratch, and its states are
+    staged in a (rows, block, dim) scratch that is written into
+    ``buf.states`` at the end of the block and before each compaction, which
+    renumbers the staged rows.  A path's states after its stop step are
+    left unwritten.
     """
     states, dW, stop, kind, iters = buf.states, buf.dW, buf.stop, buf.kind, buf.iters
-    P, steps = dW.shape[:2]
+    P, steps, d = dW.shape
     step = _step_fn(sde)
     project = sde.project
-    alive = np.ones(P, dtype=bool)
-    n_alive = P
+    rows = np.arange(P)
     x = states[:, 0].copy()
-
-    def end(mask, code, k):
-        nonlocal n_alive
-        n = np.count_nonzero(mask)
-        if n:
-            kind[mask] = code
-            stop[mask] = k
-            alive[mask] = False
-            n_alive -= n
-
+    it = None if iters is None else np.zeros(P, dtype=np.int64)  # the live rows' iterations
+    staged = np.empty((P, min(_BLOCK, steps), sde.dim))
     singular = _KIND_ORDER.index(StatusKind.SINGULAR_REDUCTION)
     domain = _KIND_ORDER.index(StatusKind.DOMAIN_ERROR)
-    x_next = noise = ahead = None
+    k0 = first = 0  # the block's first step, and its first step not yet in ``states``
+
+    def end(bad, code, k):
+        """End the live rows ``bad`` at step k with status ``code`` (one code,
+        or one per ended row), write the staged states, and return the
+        survivors' indices among the live rows."""
+        nonlocal first
+        dead = rows[bad]
+        kind[dead] = code
+        stop[dead] = k
+        if it is not None:
+            iters[dead] = it[bad]
+        states[rows, k0 + 1 + first : k + 1] = staged[: len(rows), first : k - k0]
+        first = k - k0
+        return np.flatnonzero(~bad)
+
+    n = xs = x_next = noise = ahead = None
     with np.errstate(all="ignore"):
-        for k in range(steps):
-            if not n_alive:
-                break
-            ok, a, b = step(x) if ahead is None else ahead
-            if ok is not None and np.count_nonzero(ok) < P:
-                end(alive & ~ok, singular, k)
-                if not n_alive:
-                    break
-            if x_next is None:  # the stepped columns are known from the first drift
-                n = a.shape[-1]
-                stepped = x[:, :n]
-                # ``xs`` holds the values of ``stepped`` in a contiguous array,
-                # whose sum with x_next numpy makes in one pass, not per row
-                xs, x_next, noise = stepped.copy(), np.empty((P, n)), np.empty((P, n))
-            np.multiply(a, dt, out=x_next)
-            np.add(xs, x_next, out=x_next)
-            for j in range(sde.d):
-                np.multiply(b[:, :, j], dW[:, k, j, None], out=noise)
-                x_next += noise
-            finite = np.isfinite(x_next)
-            if np.count_nonzero(finite) < finite.size:
-                end(alive & ~finite.all(axis=1), domain, k)
-            if n_alive == P:
-                np.copyto(stepped, x_next)
+        for k0 in range(0, steps, _BLOCK):
+            k1 = min(k0 + _BLOCK, steps)
+            first = 0
+            w = dW[rows, k0:k1]  # a copy: (live rows, block, d)
+            for k in range(k0, k1):
+                ok, a, b = step(x) if ahead is None else ahead
+                if n is None:  # the stepped columns are known from the first drift
+                    n = a.shape[-1]
+                    # ``xs`` holds the stepped columns of x in a contiguous
+                    # array, whose sum with x_next numpy makes in one pass
+                    xs, x_next, noise = x[:, :n].copy(), np.empty((P, n)), np.empty((P, n))
+                if ok is not None and np.count_nonzero(ok) < len(rows):
+                    keep = end(~ok, singular, k)
+                    rows, x, xs, x_next, noise, w, it, a, b = _take(
+                        keep, rows, x, xs, x_next, noise, w, it, a, b)
+                    if not len(rows):
+                        return
+                np.multiply(a, dt, out=x_next)
+                np.add(xs, x_next, out=x_next)
+                for j in range(d):
+                    np.multiply(b[:, :, j], w[:, k - k0, j, None], out=noise)
+                    x_next += noise
+                finite = np.isfinite(x_next)
+                if np.count_nonzero(finite) < finite.size:
+                    keep = end(~finite.all(axis=1), domain, k)
+                    rows, x, xs, x_next, noise, w, it = _take(
+                        keep, rows, x, xs, x_next, noise, w, it)
+                    if not len(rows):
+                        return
+                x[:, :n] = x_next
                 xs, x_next = x_next, xs
-            else:
-                np.copyto(stepped, x_next, where=alive[:, None])
-                np.copyto(xs, x_next, where=alive[:, None])
-            if project is not None:
-                u, converged, sing, it, *after = project(x)
-                ahead = after[0] if after else None
-                if n_alive == P:
-                    iters += it
-                else:
-                    np.add(iters, it, out=iters, where=alive)
-                if np.count_nonzero(sing):
-                    end(alive & sing, singular, k)
-                if np.count_nonzero(converged) < P:
-                    end(alive & ~converged, domain, k)
-                if n_alive == P:
-                    np.copyto(x[:, n:], u)
-                else:
-                    np.copyto(x[:, n:], u, where=alive[:, None])
-            states[:, k + 1] = x
+                if project is not None:
+                    u, converged, sing, it_k, *after = project(x)
+                    ahead = after[0] if after else None
+                    it += it_k
+                    if np.count_nonzero(sing) or np.count_nonzero(converged) < len(rows):
+                        bad = sing | ~converged
+                        keep = end(bad, np.where(sing[bad], singular, domain), k)
+                        rows, x, xs, x_next, noise, w, it, u = _take(
+                            keep, rows, x, xs, x_next, noise, w, it, u)
+                        if not len(rows):
+                            return
+                        if ahead is not None:
+                            ahead = _take(keep, *ahead)
+                    x[:, n:] = u
+                staged[: len(rows), k - k0] = x
+            states[rows, k0 + 1 + first : k1 + 1] = staged[: len(rows), first : k1 - k0]
+    if it is not None:
+        iters[rows] = it
 
 
 def _initial_state(sde: AugmentedSde, init) -> np.ndarray:

@@ -350,10 +350,15 @@ def load_problem(text: str) -> SdaeProblem:
             key = key.strip()
             if key not in ("n", "m", "p", "d"):
                 raise ProblemFormatError(f"unknown dimension '{key}'", lineno)
+            if key in dims:
+                raise ProblemFormatError(f"duplicate dimension '{key}'", lineno)
             try:
                 dims[key] = int(value.strip())
             except ValueError:
                 raise ProblemFormatError(f"bad integer for {key}: '{value}'", lineno) from None
+            least = 0 if key == "d" else 1
+            if dims[key] < least:
+                raise ProblemFormatError(f"dimension {key}={dims[key]} must be >= {least}", lineno)
     missing = [k for k in ("n", "m", "p", "d") if k not in dims]
     if missing:
         raise ProblemFormatError(f"[dims] is missing {', '.join(missing)}")
@@ -418,8 +423,14 @@ def load_problem(text: str) -> SdaeProblem:
 
 
 def load_problem_file(path) -> SdaeProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_problem(fh.read())
+    """``load_problem`` of a UTF-8 file, which may start with a byte-order
+    mark; a file that is not UTF-8 is a ProblemFormatError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+    return load_problem(text)
 
 
 def print_problem(pr: SdaeProblem) -> str:

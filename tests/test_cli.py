@@ -54,6 +54,33 @@ class TestClassify:
         bad.write_text("[dims]\nn=1 m=1 p=1 d=1\n")
         assert main(["classify", str(bad)]) == 2
 
+    @pytest.mark.parametrize("dims, message", [
+        ("n=2 n=1 m=1 p=1 d=1", "line 2: duplicate dimension 'n'"),
+        ("n=1 m=1 p=1\nd=1 p=1", "line 3: duplicate dimension 'p'"),
+        ("n=-1 m=1 p=1 d=1", "line 2: dimension n=-1 must be >= 1"),
+        ("n=1 m=1 p=1 d=-1", "line 2: dimension d=-1 must be >= 0"),
+    ], ids=["repeated", "repeated-on-another-line", "negative-n", "negative-d"])
+    def test_bad_dims_name_their_line(self, linear_file, tmp_path, capsys, dims, message):
+        bad = tmp_path / "bad.sdae"
+        bad.write_text(linear_file.read_text().replace("n=1 m=1 p=1 d=1", dims, 1))
+        assert main(["classify", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_non_utf8_file_is_exit_2_naming_it(self, linear_file, tmp_path, capsys):
+        bad = tmp_path / "latin1.sdae"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1") + linear_file.read_bytes())
+        assert main(["classify", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: byte 5 (invalid continuation byte)\n")
+
+    def test_byte_order_mark_is_accepted(self, linear_file, tmp_path, capsys):
+        assert main(["classify", str(linear_file)]) == 0
+        plain = capsys.readouterr().out
+        marked = tmp_path / "bom.sdae"
+        marked.write_bytes(b"\xef\xbb\xbf" + linear_file.read_bytes())
+        assert main(["classify", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestCheck:
     def test_ill_posed_box(self, paper_file, capsys):

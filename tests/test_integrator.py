@@ -8,10 +8,11 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -412,9 +413,10 @@ class TestProjection:
 
 
 # ---------------------------------------------------------------------------
-# The step loop's bookkeeping: plain forms while every path lives, masked
-# forms after one ends.  A single path never takes the masked branch, so a
-# batch whose paths end at different steps must still equal each path alone.
+# The step loop's bookkeeping: it steps the live rows only, and a path that
+# ends is dropped from every per-row array.  A single path is never dropped
+# from a batch of others, so a batch whose paths end at different steps must
+# still equal each path alone.
 # ---------------------------------------------------------------------------
 
 BATCH_DT = 0.01
@@ -526,6 +528,165 @@ class TestBatchEqualsSingle:
             assert path.t_grid.tobytes() == single.t_grid.tobytes()
 
 
+# Routes by which a planned path ends, and the status each gives at its step
+COMPLETES, BY_GUARD, BY_DRIFT, BY_SINGULAR, BY_UNCONVERGED, BY_BAND = range(6)
+PLANNED_STATUS = {BY_GUARD: "singular-reduction", BY_DRIFT: "domain-error",
+                  BY_SINGULAR: "singular-reduction", BY_UNCONVERGED: "domain-error",
+                  BY_BAND: "band-exit"}
+
+
+def planned_sde(zs, routes, whens, with_ahead, calls=None):
+    """``ending_sde``'s columns (t, z, x, u), where each path ends as planned.
+
+    z keeps the path's first increment, which names the path: the path
+    whose z is ``zs[i]`` ends by ``routes[i]`` at step (or, for BY_BAND,
+    grid point) ``whens[i]``.  Before step 0 every z is 0 and no path is
+    named, so the guard and drift routes act from step 1 and BY_BAND from
+    grid point 1; the projection sees the stepped z and acts from step 0.
+    A BY_SINGULAR projection is unconverged as well, so singular must win.  With
+    ``with_ahead`` the projection returns the next step's coefficients and
+    ``both`` runs at step 0 only.  Each projection counts 2 iterations on a
+    path with z > 0 and 3 on the others.  ``calls``, when given, collects
+    (hook, step, rows) for every call of ``both`` and ``project``.
+    """
+    dt = BATCH_DT
+    order = np.argsort(zs)
+    zs, routes, whens = np.asarray(zs)[order], np.asarray(routes)[order], np.asarray(whens)[order]
+
+    def plan(z, t, offset):
+        """Each row's route, where it has reached its planned step."""
+        i = np.minimum(np.searchsorted(zs, z), len(zs) - 1)
+        return np.where((zs[i] == z) & (t > (whens[i] + offset) * dt), routes[i], COMPLETES)
+
+    def coefficients(points):
+        t, z, x = points[:, 0], points[:, 1], points[:, 2]
+        route = plan(z, t, -0.5)
+        drift = np.zeros((len(points), 3))
+        drift[:, 0] = 1.0
+        drift[:, 2] = np.where(route == BY_DRIFT, np.nan, -x)
+        diffusion = np.zeros((len(points), 3, 1))
+        diffusion[:, 1, 0] = t < 0.5 * dt
+        diffusion[:, 2, 0] = 1.0
+        return route != BY_GUARD, drift, diffusion
+
+    def both(points):
+        if calls is not None:
+            calls.append(("both", round(points[0, 0] / dt), len(points)))
+        return coefficients(points)
+
+    def project(state):
+        t, z = state[:, 0], state[:, 1]
+        if calls is not None:
+            calls.append(("project", round(t[0] / dt) - 1, len(state)))
+        route = plan(z, t, 0.5)
+        singular = route == BY_SINGULAR
+        converged = (route != BY_UNCONVERGED) & ~singular
+        u = 2.0 * state[:, 2:3]
+        iters = np.where(z > 0.0, 2, 3)
+        if not with_ahead:
+            return u, converged, singular, iters
+        filled = state.copy()
+        filled[:, 3:] = u
+        return u, converged, singular, iters, coefficients(filled)
+
+    def outside(states):
+        return plan(states[:, 1], states[:, 0], -0.5) == BY_BAND
+
+    return AugmentedSde(dim=4, d=1, labels=("t", "z", "x1", "u1"), both=both,
+                        project=project, outside=outside)
+
+
+@st.composite
+def ending_plans(draw):
+    """(steps, [(route, when), ...]): each path's route and its step, drawn
+    often at step 0, the last step and either side of a 64-step block edge."""
+    steps = draw(st.integers(1, 140))
+    plan = []
+    for _ in range(draw(st.integers(1, 8))):
+        route = draw(st.sampled_from(
+            [COMPLETES, BY_GUARD, BY_DRIFT, BY_SINGULAR, BY_UNCONVERGED, BY_BAND]))
+        lo = 0 if route in (BY_SINGULAR, BY_UNCONVERGED) else 1
+        hi = steps if route == BY_BAND else steps - 1
+        if route == COMPLETES or lo > hi:
+            plan.append((COMPLETES, 0))
+            continue
+        edges = [v for v in (lo, hi, 63, 64, 65) if lo <= v <= hi]
+        plan.append((route, draw(st.one_of(st.sampled_from(edges), st.integers(lo, hi)))))
+    return steps, plan
+
+
+def alive_by_step(plan):
+    """(rows ``both`` sees at step k, rows ``project`` sees at step k) for a
+    plan's paths in one batch: a path is dropped at its planned step, before
+    the projection if its guard or drift ends it."""
+    stepped = [when for route, when in plan if route in (BY_GUARD, BY_DRIFT)]
+    projected = [when for route, when in plan if route in (BY_SINGULAR, BY_UNCONVERGED)]
+    ends = stepped + projected
+
+    def both(k):
+        return len(plan) - sum(e < k for e in ends)
+
+    def project(k):
+        return both(k) - sum(e == k for e in stepped)
+
+    return both, project
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=ending_plans(), base_seed=st.integers(0, 2**32), with_ahead=st.booleans())
+@example(case=(70, [(BY_GUARD, 63), (BY_DRIFT, 64), (BY_SINGULAR, 64), (BY_UNCONVERGED, 0),
+                    (BY_SINGULAR, 0), (BY_BAND, 70), (BY_UNCONVERGED, 69), (COMPLETES, 0)]),
+         base_seed=5, with_ahead=False)
+@example(case=(130, [(BY_GUARD, 64), (BY_GUARD, 64), (BY_UNCONVERGED, 63), (BY_DRIFT, 127),
+                     (BY_SINGULAR, 128), (BY_BAND, 1), (COMPLETES, 0)]),
+         base_seed=11, with_ahead=True)
+def test_live_rows_keep_every_paths_bits(case, base_seed, with_ahead):
+    """Paths that end at drawn steps by every route, several in one step,
+    at step 0, at the last step and on both sides of a block edge: each path
+    of the ensemble equals the path alone, at chunks of 1, 3 and one batch
+    and at blocks of 1, 2, 3 and the default, and in one batch ``both`` and
+    ``project`` see exactly the live rows."""
+    steps, plan = case
+    P = len(plan)
+    T = steps * BATCH_DT
+    assert n_steps(T, BATCH_DT) == steps
+    zs = [wiener_increments(derive_seed(base_seed, k), 1, 1, BATCH_DT)[0, 0] for k in range(P)]
+    routes, whens = [route for route, _ in plan], [when for _, when in plan]
+    sde = planned_sde(zs, routes, whens, with_ahead)
+    init = np.zeros(4)
+    want = ["completed" if route == COMPLETES else f"{PLANNED_STATUS[route]}@{when}"
+            for route, when in plan]
+    projections = [when + 1 if route in (BY_SINGULAR, BY_UNCONVERGED)
+                   else when if route in (BY_GUARD, BY_DRIFT) else steps
+                   for route, when in plan]
+    iters = [n * (2 if z > 0.0 else 3) for n, z in zip(projections, zs)]
+    singles = [euler_maruyama(sde, init, BATCH_DT, T, wiener_increments(seed, steps, 1, BATCH_DT))
+               for seed in (derive_seed(base_seed, k) for k in range(P))]
+    assert [str(p.status) for p in singles] == want
+    assert [p.metadata["newton_iterations"] for p in singles] == iters
+    both_rows, project_rows = alive_by_step(plan)
+    with usable_cpus(1):
+        for block in (1, 2, 3, integrator._BLOCK):
+            with mock.patch.object(integrator, "_BLOCK", block):
+                for chunk in (1, 3, P):
+                    ens = run_ensemble(sde, init, BATCH_DT, T, P, base_seed, chunk=chunk)
+                    for path, single in zip(ens.paths, singles, strict=True):
+                        assert str(path.status) == str(single.status)
+                        assert path.states.tobytes() == single.states.tobytes()
+                        assert path.dW.tobytes() == single.dW.tobytes()
+                        assert path.metadata == single.metadata
+                calls = []
+                run_ensemble(planned_sde(zs, routes, whens, with_ahead, calls),
+                             init, BATCH_DT, T, P, base_seed, chunk=P)
+            assert [k for hook, k, _ in calls if hook == "project"] == [
+                k for k in range(steps) if project_rows(k)]
+            for hook, k, rows in calls:
+                assert rows == (both_rows if hook == "both" else project_rows)(k)
+            if with_ahead:
+                assert [k for hook, k, _ in calls if hook == "both"] == [0]
+
+
 def picard_2x2_problem():
     """n = m = p = d = 2 with Gamma != 0, so the sweep's Gamma sums are used."""
     return SdaeProblem(
@@ -618,14 +779,16 @@ class TestNewtonReference:
         assert_newton_equals_reference(kinds, c, 2.0 * np.eye(m) + 0.3 * R, u0, event, bad, tol)
 
 
-# Python-level calls per engine step with 8 live paths: 21.08 (bounded Newton,
-# one fused step that converges after one update, which also gives the next
-# step's coefficients) and 8.05 (index-1) measured with numpy 2.4, plus 25%.
-# While every path lives the step loop's bookkeeping is a fixed set of
-# counts, and neither the step nor the Newton solve enters a numpy errstate
-# of its own, so this holds the lean loop on any host, where a timing could
-# not.
-CALL_BUDGET_PER_STEP = {"bounded-newton": 26.4, "index1": 10.1}
+# Python-level calls per engine step with 8 paths, measured with numpy 2.4,
+# plus 25%: 19.07 for bounded Newton (one fused step that converges after
+# one update, which also gives the next step's coefficients) and 7.035 for
+# index-1, with every path alive for 200 steps, and 7.015 for Algorithm 1 at
+# criterion 4's settings over 10^4 steps, in which 6 of the 8 paths end.
+# The step loop's bookkeeping is a fixed set of counts while no path ends and
+# a few calls at each step that ends some, and neither the step nor the
+# Newton solve enters a numpy errstate of its own, so this holds the lean
+# loop on any host, where a timing could not.
+CALL_BUDGET_PER_STEP = {"bounded-newton": 23.8, "index1": 8.8, "unit-prob": 8.8}
 
 
 def python_calls(run):
@@ -651,20 +814,28 @@ def budget_case(name):
         cfg = BoundedMConfig(epsilon=0.5, alpha=0.8, box=[(-2.0, 2.0), (-5.0, 5.0)],
                              b=11.0, J_raw=4.0)
         _, sde, init = _bounded_setup(pr, cfg, 1e-3, SolveMode.NEWTON_PER_STEP)
-        return sde, init, 1e-3
+        return sde, init, 1e-3, 200
+    if name == "unit-prob":
+        pr = builtin("paper-example")
+        spec = paper_example_spec(0.25)
+        init = np.concatenate([pr.x0, consistent_init(spec, pr)])
+        return build_unit_prob_sde(pr, spec).sde(), init, 1e-5, 10_000
     sde, init = index1_setup(builtin("linear-index1"))
-    return sde, init, 1e-2
+    return sde, init, 1e-2, 200
 
 
 @pytest.mark.parametrize("name", sorted(CALL_BUDGET_PER_STEP))
 def test_step_loop_call_budget(name):
-    sde, init, dt = budget_case(name)
-    steps, P = 200, 8
+    sde, init, dt, steps = budget_case(name)
+    P = 8
     buf = integrator._chunk_buffers(sde, P, steps)
     buf.dW[:] = [wiener_increments(derive_seed(1, k), steps, sde.d, dt) for k in range(P)]
     buf.states[:, 0] = init
     _, calls = python_calls(lambda: integrator._em_batch(sde, dt, buf))
-    assert (buf.stop == steps).all() and (buf.kind == 0).all()  # every path lives
+    if name == "unit-prob":  # most paths end, at different steps
+        assert np.count_nonzero(buf.stop < steps) == 6 and len(set(buf.stop.tolist())) == 7
+    else:
+        assert (buf.stop == steps).all() and (buf.kind == 0).all()  # every path lives
     reached = {fn for (path, fn) in calls if path.endswith("_methods.py")}
     assert not reached & {"_any", "_all"}
     assert sum(calls.values()) / steps <= CALL_BUDGET_PER_STEP[name]
